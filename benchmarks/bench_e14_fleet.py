@@ -2,7 +2,7 @@
 
 The paper's framework watches one TV.  The production north star is a
 service monitoring *populations* of devices, so this bench drives the
-MonitorFleet engine: 100 independent TVs with their awareness monitors
+fleet workload: 100 independent TVs with their awareness monitors
 multiplexed on a single kernel and a single runtime bus, seeded random
 users on every set, and a fault-injection campaign across a deterministic
 subset.
@@ -12,43 +12,39 @@ Claims checked:
 * the fleet runs at six-figure dispatch throughput (events/sec);
 * injected faults are detected with zero false alarms (the Sect. 4.3
   comparator discipline survives multiplexing);
-* the run is deterministic — same fleet seed, byte-identical trace.
+* the run is deterministic — same seed, byte-identical trace.
 
-This bench intentionally drives the legacy hand-built-fleet path
-(``MonitorFleet`` + the deprecated ``ExperimentRunner`` shim) so its
-throughput and determinism stay covered; declarative campaigns run
-through ``repro.campaign`` (bench_e16).
+:data:`FLEET_SPEC` is the one definition of the workload: the
+``run_all.py`` fleet probe and ``profile_dispatch.py`` import it, so the
+throughput floor protects the ``run_cell_detailed`` path campaigns use.
 """
 
+from dataclasses import replace
 
-from repro.runtime import ExperimentRunner, MonitorFleet
+from repro.campaign import run_cell_detailed
+from repro.scenarios import FaultPhase, ScenarioSpec, UserProfile
 
 from conftest import print_table, qscale, run_once
 
 FLEET_SEED = 14
-FLEET_SIZE = qscale(100, 30)
-DURATION = qscale(60.0, 30.0)
-VOLUME_HEAVY_KEYS = [
-    "power", "vol_up", "vol_down", "vol_up", "ch_up", "ch_down",
-    "mute", "menu", "back", "ttx", "epg",
-]
+FLEET_SPEC = ScenarioSpec(
+    name="fleet-probe",
+    description="100 TVs, seeded random users, 20% volume_overshoot at t=20",
+    duration=60.0,
+    tvs=100,
+    profiles=(UserProfile("random", mean_gap=4.0),),
+    phases=(FaultPhase("volume_overshoot", at=20.0, fraction=0.2),),
+)
+SPEC = replace(FLEET_SPEC, tvs=qscale(100, 30))
 
 
 def _campaign():
-    fleet = MonitorFleet(seed=FLEET_SEED)
-    fleet.add_tvs(FLEET_SIZE)
-    runner = ExperimentRunner(
-        fleet,
-        duration=DURATION,
-        fault_fraction=0.2,
-        fault="volume_overshoot",
-        keys=VOLUME_HEAVY_KEYS,
-    )
-    return fleet, runner.run()
+    return run_cell_detailed(SPEC, FLEET_SEED)
 
 
 def test_e14_fleet_campaign(benchmark):
-    fleet, report = run_once(benchmark, _campaign)
+    cell = run_once(benchmark, _campaign)
+    report = cell.fleet_report
     print_table(
         "E14: 100-SUO fleet fault-injection campaign (one kernel, one bus)",
         ["members", "sim time", "events", "events/sec", "faulty", "detected",
@@ -63,24 +59,23 @@ def test_e14_fleet_campaign(benchmark):
             len(report.false_alarms),
         ]],
     )
-    assert report.members == FLEET_SIZE
+    assert report.members == SPEC.tvs
     assert report.dispatched > qscale(10_000, 1_000)
     assert report.faulty, "20% injection over 100 TVs must afflict someone"
     assert report.detected, "the monitors must catch injected faults"
     assert report.false_alarms == [], "fault-free members must stay silent"
     # one shared kernel serves the whole fleet
+    fleet = cell.compiled.fleet
     assert all(
         member.suo.kernel is fleet.kernel for member in fleet.members.values()
     )
 
 
 def test_e14_fleet_determinism(benchmark):
-    """Same fleet seed → byte-identical merged trace, twice over."""
+    """Same seed → byte-identical merged trace, twice over."""
 
     def both():
-        first = _campaign()[1]
-        second = _campaign()[1]
-        return first, second
+        return _campaign().fleet_report, _campaign().fleet_report
 
     first, second = run_once(benchmark, both)
     assert first.trace_digest == second.trace_digest

@@ -20,7 +20,7 @@ so this doubles as the CI shard-determinism smoke (serial vs 2-shard).
 
 import os
 
-from repro.campaign import ProcessShardBackend, run_cell
+from repro.campaign import DistributedBackend, ProcessWorkerExecutor, run_cell
 from repro.scenarios import FaultPhase, ScenarioSpec, UserProfile
 
 from conftest import print_table, qscale, run_once
@@ -51,7 +51,10 @@ def test_e16_sharded_campaign_matches_serial_and_scales(benchmark):
         # not the CPython copy-on-write penalty of duplicating a heap the
         # serial run would otherwise have left behind (refcount writes
         # unshare forked pages).
-        sharded = run_cell(SPEC, 16, backend=ProcessShardBackend(shards=SHARDS))
+        sharded = run_cell(
+            SPEC, 16,
+            backend=DistributedBackend(ProcessWorkerExecutor(), shards=SHARDS),
+        )
         serial = run_cell(SPEC, 16)
         return serial, sharded
 
@@ -96,7 +99,7 @@ def test_e16_sharded_campaign_matches_serial_and_scales(benchmark):
 
 
 def test_e16_shard_trace_digests_reproduce(benchmark):
-    backend = ProcessShardBackend(shards=SHARDS)
+    backend = DistributedBackend(ProcessWorkerExecutor(), shards=SHARDS)
 
     def twice():
         return (

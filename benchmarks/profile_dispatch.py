@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Profile the fleet dispatch hot path and dump the top of the profile.
 
-Runs ONE fleet campaign tick — the same 100-SUO workload as the
-``run_all.py`` fleet probe — under ``cProfile`` and prints the top-20
+Runs ONE fleet campaign — the E14 workload ``bench_e14_fleet.FLEET_SPEC``
+that the ``run_all.py`` fleet probe also runs — through
+``run_cell_detailed`` under ``cProfile`` and prints the top-20
 functions by cumulative time (plus the top-20 by internal time, which
 is where dispatch-loop regressions actually show up).  CI uploads the
 dump as a workflow artifact next to ``/tmp/bench.json`` so a perf-floor
@@ -14,7 +15,7 @@ Usage::
     python benchmarks/profile_dispatch.py --out /tmp/profile_dispatch.txt
     python benchmarks/profile_dispatch.py --members 30 --duration 10
 
-The workload is deterministic (fixed fleet seed), so two dumps from the
+The workload is deterministic (fixed seed), so two dumps from the
 same code differ only in timings, never in call counts: a changed
 ``ncalls`` column between two runs is a behavior change, not noise.
 See docs/PERF.md for how to read the dump.
@@ -28,29 +29,33 @@ import io
 import os
 import pstats
 import sys
-import warnings
+from dataclasses import replace
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-FLEET_SEED = 14
+from bench_e14_fleet import FLEET_SEED, FLEET_SPEC  # noqa: E402
+
+from repro.campaign import run_cell_detailed  # noqa: E402
+
 TOP = 20
 
 
 def profile_fleet_tick(members: int, duration: float) -> tuple:
     """Run one fleet campaign under cProfile; returns (report, stats)."""
-    from repro.runtime import ExperimentRunner, MonitorFleet
-
-    fleet = MonitorFleet(seed=FLEET_SEED)
-    fleet.add_tvs(members)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        runner = ExperimentRunner(fleet, duration=duration, fault_fraction=0.2)
+    # Fault phases keep their share of the run (t=20 of 60 by default).
+    share = duration / FLEET_SPEC.duration
+    spec = replace(
+        FLEET_SPEC, tvs=members, duration=duration,
+        phases=tuple(
+            replace(phase, at=phase.at * share) for phase in FLEET_SPEC.phases
+        ),
+    )
     profiler = cProfile.Profile()
     profiler.enable()
-    report = runner.run()
+    report = run_cell_detailed(spec, FLEET_SEED).fleet_report
     profiler.disable()
     return report, pstats.Stats(profiler)
 

@@ -21,14 +21,16 @@ throughput probes measure the runtime itself:
 
 * ``kernel``     — bare dispatch loop, no SUO (events/sec);
 * ``single_suo`` — one TV driven through the E13 workload (events/sec);
-* ``fleet``      — a 100-SUO MonitorFleet campaign (events/sec), plus a
-  byte-identical-trace determinism check;
+* ``fleet``      — the 100-SUO E14 fleet workload through
+  ``run_cell_detailed`` (events/sec), plus a byte-identical-trace
+  determinism check;
 * ``scenarios``  — a 1000-SUO streaming-telemetry scenario (the E15
   workload), recording its trace and telemetry digests;
 * ``sharded``    — the same scenario through the campaign API, serial vs
-  ``ProcessShardBackend``: records the wall-clock speedup and **fails
-  the run if the serial and sharded telemetry digests diverge** (the CI
-  shard-determinism gate; quick mode shrinks to 2 shards);
+  ``DistributedBackend`` over worker processes: records the wall-clock
+  speedup and **fails the run if the serial and sharded telemetry
+  digests diverge** (the CI shard-determinism gate; quick mode shrinks
+  to 2 shards);
 * ``detection``  — the detection/recovery library scenarios
   (player-seek-stress, printer-burst, recovery-ladder-drill,
   overnight-soak) serial and 2-shard: **fails the run if any detection
@@ -105,9 +107,12 @@ SEED_BASELINE = {
 #: probe drops more than ``max_regression`` below these full-mode
 #: numbers.  Quick-mode runs on 1-CPU hosts skip the floor, same as the
 #: bench_e16 speedup guard: there the wall-clock numbers measure the
-#: container, not the runtime.
+#: container, not the runtime.  The fleet floor was re-set when the probe
+#: moved onto ``FLEET_SPEC`` through ``run_cell_detailed``: 0.855 x the
+#: best of 3 full-mode probes (144.5k events/sec, shared 2-CPU host), the
+#: ratio the first floor used (122k over 142.65k).
 PERF_FLOOR = {
-    "fleet_events_per_sec": 122_000,
+    "fleet_events_per_sec": 123_600,
     "scenarios_events_per_sec": 137_000,
     "fuzz_candidates_per_sec": 2.0,
     "max_regression": 0.30,
@@ -156,30 +161,21 @@ def probe_single_suo() -> float:
     return best
 
 
-def probe_fleet(members: int = 100, duration: float = 60.0) -> dict:
+def probe_fleet() -> dict:
     """100-SUO campaign throughput + determinism witness.
 
-    Intentionally stays on the legacy hand-built-fleet path (the
-    deprecated ``ExperimentRunner`` shim) so its throughput remains
-    tracked; the campaign API is probed by :func:`probe_sharded`.
+    Runs the E14 workload (:data:`bench_e14_fleet.FLEET_SPEC`) through
+    ``run_cell_detailed``, the path campaigns use.
     """
-    import warnings
+    from bench_e14_fleet import FLEET_SEED, FLEET_SPEC
 
-    from repro.runtime import ExperimentRunner, MonitorFleet
+    from repro.campaign import run_cell_detailed
 
-    def campaign():
-        fleet = MonitorFleet(seed=14)
-        fleet.add_tvs(members)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            runner = ExperimentRunner(fleet, duration=duration, fault_fraction=0.2)
-        return runner.run()
-
-    first = campaign()
-    second = campaign()
+    first = run_cell_detailed(FLEET_SPEC, FLEET_SEED).fleet_report
+    second = run_cell_detailed(FLEET_SPEC, FLEET_SEED).fleet_report
     return {
-        "members": members,
-        "sim_duration": duration,
+        "members": first.members,
+        "sim_duration": first.duration,
         "dispatched": first.dispatched,
         "events_per_sec": round(first.events_per_sec),
         "deterministic": first.trace_digest == second.trace_digest,
@@ -223,7 +219,7 @@ def probe_sharded(quick: bool = False) -> dict:
     gate: the merged counter/tally telemetry of the sharded run must be
     byte-identical to the serial run's.
     """
-    from repro.campaign import ProcessShardBackend, run_cell
+    from repro.campaign import run_cell
     from repro.scenarios import FaultPhase, ScenarioSpec, UserProfile
 
     members = 300 if quick else 1000
@@ -240,7 +236,7 @@ def probe_sharded(quick: bool = False) -> dict:
     )
     # Sharded first: fork from a lean parent (a prior serial run would
     # leave a big heap whose pages the workers' refcount writes unshare).
-    sharded = run_cell(spec, 16, backend=ProcessShardBackend(shards=shards))
+    sharded = run_cell(spec, 16, backend=_process_backend(shards))
     serial = run_cell(spec, 16)
     speedup = (
         serial.wall_seconds / sharded.wall_seconds
@@ -276,15 +272,19 @@ DETECTION_SCENARIOS = (
 _PROBE_CELLS: dict = {}
 
 
+def _process_backend(shards: int):
+    """Sharded execution, one worker process per shard."""
+    from repro.campaign import DistributedBackend, ProcessWorkerExecutor
+
+    return DistributedBackend(ProcessWorkerExecutor(), shards=shards)
+
+
 def _probe_cell(name: str, seed: int, shards=None):
-    from repro.campaign import ProcessShardBackend, run_cell
-    from repro.scenarios import get_scenario
+    from repro.campaign import run_cell
 
     key = (name, seed, shards)
     if key not in _PROBE_CELLS:
-        backend = (
-            None if shards is None else ProcessShardBackend(shards=shards)
-        )
+        backend = None if shards is None else _process_backend(shards)
         _PROBE_CELLS[key] = run_cell(name, seed, backend=backend)
     return _PROBE_CELLS[key]
 

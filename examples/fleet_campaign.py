@@ -8,7 +8,8 @@ through :class:`~repro.campaign.Campaign` —
 
 * once on :class:`~repro.campaign.SerialBackend` — one kernel, one
   fleet, one telemetry hub (PR 1's hand-coded campaign, now one call);
-* once on :class:`~repro.campaign.ProcessShardBackend` — the device mix
+* once on :class:`~repro.campaign.DistributedBackend` with a
+  :class:`~repro.campaign.ProcessWorkerExecutor` — the device mix
   partitioned into 4 per-shard plans, one kernel + fleet per worker
   process, telemetry merged back into one report.
 
@@ -18,14 +19,10 @@ counter/tally telemetry digest.  Per-member behaviour is keyed to
 is invisible in what it does — which is what makes sharding safe to
 reach for when one kernel stops being enough.
 
-(Hand-built fleets remain available underneath: ``repro.runtime.
-MonitorFleet`` is unchanged, and the deprecated ``ExperimentRunner``
-still drives custom mixes the declarative layer cannot express.)
-
 Run:  python examples/fleet_campaign.py
 """
 
-from repro.campaign import Campaign, ProcessShardBackend
+from repro.campaign import Campaign, DistributedBackend, ProcessWorkerExecutor
 from repro.scenarios import FaultPhase, ScenarioSpec, UserProfile
 
 CAMPAIGN_SPEC = ScenarioSpec(
@@ -57,7 +54,8 @@ def main() -> None:
 
     # 2. the sharded path: same plan, 4 worker processes ----------------
     sharded = campaign.run_cell(
-        CAMPAIGN_SPEC, seed=2026, backend=ProcessShardBackend(shards=4)
+        CAMPAIGN_SPEC, seed=2026,
+        backend=DistributedBackend(ProcessWorkerExecutor(), shards=4),
     )
     print(f"sharded: {sharded.members} SUOs across {sharded.shards} worker "
           f"processes in {sharded.wall_seconds:.2f}s wall "

@@ -1,8 +1,7 @@
 """Scenario × seed sweep through the unified campaign API.
 
-PR 2 swept this grid with ``ScenarioRunner``; PR 3 unified the campaign
-surface, so the same sweep is now one :class:`~repro.campaign.Campaign`
-— and because execution backends are pluggable, the identical plan can
+The sweep is one :class:`~repro.campaign.Campaign` — and because
+execution backends are pluggable, the identical plan can
 run serially or sharded across worker processes without changing a line
 of the sweep.  The telemetry digest column is the reproducibility
 witness: it is backend-invariant *and* rerun-stable, because every
@@ -16,7 +15,12 @@ Run:  python examples/scenario_sweep.py          # aligned text table
 import argparse
 import json
 
-from repro.campaign import Campaign, ProcessShardBackend, format_campaign_table
+from repro.campaign import (
+    Campaign,
+    DistributedBackend,
+    ProcessWorkerExecutor,
+    format_campaign_table,
+)
 from repro.scenarios import get_scenario, scenario_names
 
 
@@ -65,7 +69,8 @@ def main() -> None:
     # 4. determinism: the same cell re-executes to the same digest ------
     #    even on a different backend (2 worker processes).
     again = campaign.run_cell("recovery-ladder-drill", seed=1,
-                              backend=ProcessShardBackend(shards=2))
+                              backend=DistributedBackend(
+                                  ProcessWorkerExecutor(), shards=2))
     assert again.telemetry_digest == drill.telemetry_digest
     print("\nrerun of that cell on a 2-shard process backend reproduced the "
           "identical merged telemetry digest — the sweep is replayable, "

@@ -21,7 +21,7 @@ awareness stack on a fully simulated substrate:
 * :mod:`repro.platform` / :mod:`repro.koala` / :mod:`repro.sim` — the
   SoC, component-model, and discrete-event simulation substrates;
 * :mod:`repro.runtime`     — the typed event bus every layer publishes
-  on, the MonitorFleet/ExperimentRunner engine that multiplexes
+  on, the MonitorFleet engine that multiplexes
   hundreds of monitored SUOs on one kernel, and the streaming
   telemetry aggregators that keep thousand-SUO campaigns in bounded
   memory;
@@ -30,9 +30,9 @@ awareness stack on a fully simulated substrate:
   deterministic placement plans for sharded execution);
 * :mod:`repro.campaign`    — the unified campaign API: Campaign
   (scenario × seed plans) executed through pluggable backends —
-  SerialBackend (one kernel) or ProcessShardBackend (one kernel per
-  shard in worker processes, merged telemetry, backend-invariant
-  telemetry digests).
+  SerialBackend (one kernel) or DistributedBackend (one kernel per
+  shard on in-process, per-process or socket workers, merged
+  telemetry, backend-invariant telemetry digests).
 """
 
 __version__ = "1.0.0"

@@ -8,15 +8,14 @@ is the API seam that makes scale pluggable:
   seed plan) and :func:`execute_cell`, THE orchestration path every
   backend flows through (plus :func:`run_cell` /
   :func:`run_cell_detailed`, the blessed one-off surfaces);
-* :mod:`repro.campaign.backends`    — the PR 9 executor protocol
-  (``submit(plan) -> ShardResult``), :class:`SerialBackend` (one
-  kernel, in-process), and :class:`ProcessShardBackend` (device mix
-  partitioned into per-shard plans, one kernel + fleet per worker
-  process, merged telemetry);
+* :mod:`repro.campaign.backends`    — the executor protocol
+  (``submit(plan) -> ShardResult``) and :class:`SerialBackend` (one
+  kernel, in-process);
 * :mod:`repro.campaign.distributed` — :class:`DistributedBackend`
-  dispatching shard plans to workers (in-process, per-process with
-  heartbeat loss detection, or remote over sockets) with bounded
-  retry;
+  partitioning the device mix into per-shard plans and dispatching
+  them to workers (in-process, per-process with heartbeat loss
+  detection, or remote over sockets) with bounded retry, merged
+  telemetry;
 * :mod:`repro.campaign.checkpoint`  — shard-durable progress in the
   :mod:`repro.obs.history` store and :func:`resume_campaign`;
 * :mod:`repro.campaign.report`      — :class:`CampaignReport`, the
@@ -24,23 +23,18 @@ is the API seam that makes scale pluggable:
   ``telemetry_digest``.
 
 ``python -m repro.campaign`` is the CLI (run / resume / status / list /
-worker).  ``ExperimentRunner`` (PR 1), ``ScenarioRunner`` (PR 2), and
-the pre-PR 9 entry points (``backend.run``, ``run_detailed``,
-``run_shard_plan``) survive as warn-once deprecation shims; see
-docs/CAMPAIGNS.md and docs/DISTRIBUTED.md.
+worker); see docs/CAMPAIGNS.md and docs/DISTRIBUTED.md.
 """
 
 from .backends import (
     ExecutionBackend,
     ExecutorBackend,
-    ProcessShardBackend,
     SerialBackend,
     ShardResult,
     derive_shard_seed,
     execute_plan,
     execute_plan_detailed,
     resolve_shards,
-    run_shard_plan,
 )
 from .checkpoint import (
     CampaignCheckpoint,
@@ -84,7 +78,6 @@ __all__ = [
     "ExecutionBackend",
     "ExecutorBackend",
     "InlineExecutor",
-    "ProcessShardBackend",
     "ProcessWorkerExecutor",
     "ScenarioLike",
     "SerialBackend",
@@ -105,5 +98,4 @@ __all__ = [
     "resume_campaign",
     "run_cell",
     "run_cell_detailed",
-    "run_shard_plan",
 ]

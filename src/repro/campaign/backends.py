@@ -1,9 +1,6 @@
 """Execution backends: the one seam every campaign cell runs through.
 
-PR 9 collapsed the three overlapping entry points that had accreted
-around campaign execution (``ExecutionBackend.run(spec, seed)``,
-``SerialBackend.run_detailed``, module-level ``run_shard_plan``) into a
-single protocol:
+Campaign execution has a single protocol:
 
 * **executors** implement ``submit(plan) -> ShardResult`` — run one
   per-shard :class:`~repro.scenarios.plan.ScenarioPlan` wherever the
@@ -12,12 +9,8 @@ single protocol:
 * **orchestration** lives in exactly one place,
   :func:`repro.campaign.core.execute_cell` — plan, partition, skip
   checkpointed shards, submit the rest, merge — and every backend
-  (serial, process-sharded, distributed) flows through it via
-  :meth:`ExecutorBackend.run_cell`.
-
-The old signatures survive as warn-once deprecation shims (see the
-"deprecated entry points" section at the bottom); their behaviour is
-pinned by ``tests/test_campaign.py``.
+  (serial, or distributed over in-process, per-process or socket
+  workers) flows through it.
 
 The sharded contract (verified by ``tests/test_campaign.py`` and gated
 in CI) is unchanged:
@@ -32,7 +25,6 @@ in CI) is unchanged:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import (
@@ -47,16 +39,14 @@ from typing import (
     runtime_checkable,
 )
 
-from ..runtime.fleet import FleetReport, warn_deprecated_once
+from ..runtime.fleet import FleetReport
 from ..scenarios.compile import CompiledScenario
 from ..scenarios.plan import ScenarioPlan, derive_shard_seed
 from ..scenarios.spec import ScenarioSpec
-from .report import CampaignReport
 
 __all__ = [
     "ExecutionBackend",
     "ExecutorBackend",
-    "ProcessShardBackend",
     "SerialBackend",
     "ShardResult",
     "derive_shard_seed",
@@ -64,7 +54,6 @@ __all__ = [
     "execute_plan_detailed",
     "execute_plan_segmented",
     "resolve_shards",
-    "run_shard_plan",
 ]
 
 #: Fewest members worth a dedicated worker process: below this the
@@ -165,10 +154,9 @@ def _shard_payload(
 def execute_plan(plan: ScenarioPlan) -> Dict[str, Any]:
     """Compile and run one plan (a full cell or one shard of it).
 
-    The executor primitive every backend bottoms out in.  Module-level
-    so :mod:`multiprocessing` can ship it to workers by reference under
-    every start method, and so a socket worker on another host runs the
-    byte-identical code path.
+    The executor primitive every backend bottoms out in: worker
+    processes and socket workers on another host run the byte-identical
+    code path.
     """
     compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
     fleet_report = compiled.run()
@@ -219,11 +207,9 @@ ResultSink = Callable[[ShardResult], None]
 class ExecutionBackend(Protocol):
     """Anything that can execute per-shard plans for a campaign cell.
 
-    The PR 9 protocol: ``resolve`` picks the shard count for a spec,
-    ``submit`` executes one plan, ``submit_all`` executes a batch
-    (possibly in parallel) and streams results into ``on_result``.  The
-    legacy ``run(spec, seed)`` surface still exists on every concrete
-    backend but is a warn-once deprecation shim.
+    ``resolve`` picks the shard count for a spec, ``submit`` executes
+    one plan, ``submit_all`` executes a batch (possibly in parallel) and
+    streams results into ``on_result``.
     """
 
     name: str
@@ -247,7 +233,7 @@ class ExecutorBackend:
     :meth:`submit_all` for parallel dispatch and :meth:`resolve` for
     their sharding policy); everything above — planning, partitioning,
     checkpoint skip/record, merging — is shared and identical across
-    serial, process, and distributed execution.
+    serial and distributed execution.
     """
 
     name = "executor"
@@ -275,38 +261,6 @@ class ExecutorBackend:
             results.append(result)
         return results
 
-    # -- orchestration (delegates to the single shared path) ------------
-    def run_cell(
-        self,
-        spec: ScenarioSpec,
-        seed: int,
-        checkpoint: Optional[Any] = None,
-        campaign_id: Optional[str] = None,
-    ) -> CampaignReport:
-        """Run one (scenario, seed) cell through this backend."""
-        from .core import execute_cell
-
-        return execute_cell(
-            spec, seed, backend=self,
-            checkpoint=checkpoint, campaign_id=campaign_id,
-        )
-
-    # -- deprecated entry point -----------------------------------------
-    def run(self, spec: ScenarioSpec, seed: int) -> CampaignReport:
-        """.. deprecated:: PR 9
-            ``backend.run(spec, seed)`` was one of three overlapping
-            entry points; use :func:`repro.campaign.run_cell` (or
-            ``Campaign.run``) — the single orchestration path with
-            checkpoint/resume support.  This shim forwards there.
-        """
-        warn_deprecated_once(
-            "ExecutionBackend.run",
-            "backend.run(spec, seed) is deprecated: use "
-            "repro.campaign.run_cell(spec, seed, backend=...) or "
-            "Campaign.run() — the unified orchestration path."
-        )
-        return self.run_cell(spec, seed)
-
 
 class SerialBackend(ExecutorBackend):
     """The single-kernel path: one fleet, one telemetry hub, in-process.
@@ -323,120 +277,3 @@ class SerialBackend(ExecutorBackend):
             shard_id=plan.shard_id, payload=execute_plan(plan),
             worker="inline",
         )
-
-    # -- deprecated entry point -----------------------------------------
-    def run_detailed(
-        self, spec: ScenarioSpec, seed: int
-    ) -> Tuple[CampaignReport, FleetReport, CompiledScenario]:
-        """.. deprecated:: PR 9
-            Use :func:`repro.campaign.run_cell_detailed`, which returns
-            a :class:`~repro.campaign.core.CellExecution` with the same
-            live objects.  This shim forwards there and re-shapes the
-            result into the legacy triple.
-        """
-        warn_deprecated_once(
-            "SerialBackend.run_detailed",
-            "SerialBackend.run_detailed is deprecated: use "
-            "repro.campaign.run_cell_detailed(spec, seed) — same report "
-            "and live compiled objects, one orchestration path."
-        )
-        from .core import run_cell_detailed
-
-        cell = run_cell_detailed(spec, seed)
-        return cell.report, cell.fleet_report, cell.compiled
-
-
-class ProcessShardBackend(ExecutorBackend):
-    """Partitioned execution: one kernel + fleet per worker process.
-
-    The cell's plan is built once from the campaign seed, partitioned
-    round-robin per device kind, and each shard simulates its members in
-    its own process (``fork`` where available — workers inherit the
-    loaded interpreter — else the platform default).  Results merge into
-    one :class:`CampaignReport`.
-
-    ``inline=True`` runs the shard plans sequentially in-process: same
-    partitioning, same merge, no processes — for debugging shard logic
-    and for hosts where spawning is unavailable.
-
-    ``shards=None`` autotunes per cell: :func:`resolve_shards` picks the
-    count from ``os.cpu_count()`` and the scenario's member count, and
-    (when a checkpoint is attached) the decision is recorded in the
-    cell's checkpoint row.
-    """
-
-    def __init__(
-        self,
-        shards: Optional[int] = 2,
-        start_method: Optional[str] = None,
-        inline: bool = False,
-    ) -> None:
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1 (or None to autotune)")
-        self.shards = shards
-        self.start_method = start_method
-        self.inline = inline
-
-    @property
-    def name(self) -> str:
-        suffix = "-inline" if self.inline else ""
-        label = "auto" if self.shards is None else str(self.shards)
-        return f"process-shard[{label}]{suffix}"
-
-    def resolve(self, spec: ScenarioSpec) -> int:
-        if self.shards is not None:
-            return self.shards
-        return resolve_shards(spec.members)
-
-    def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        methods = multiprocessing.get_all_start_methods()
-        return multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-
-    def submit(self, plan: ScenarioPlan) -> ShardResult:
-        return ShardResult(
-            shard_id=plan.shard_id, payload=execute_plan(plan),
-            worker="inline",
-        )
-
-    def submit_all(
-        self,
-        plans: Sequence[ScenarioPlan],
-        on_result: Optional[ResultSink] = None,
-    ) -> List[ShardResult]:
-        if self.inline or len(plans) <= 1:
-            return super().submit_all(plans, on_result=on_result)
-        results: List[ShardResult] = []
-        with self._context().Pool(processes=len(plans)) as pool:
-            # imap_unordered streams each shard's payload home as it
-            # completes, so checkpoint writes land per shard — a worker
-            # loss after k completions preserves k durable results.
-            for payload in pool.imap_unordered(execute_plan, plans):
-                result = ShardResult(
-                    shard_id=payload["shard_id"], payload=payload,
-                    worker="process",
-                )
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
-        results.sort(key=lambda result: result.shard_id)
-        return results
-
-
-# ----------------------------------------------------------------------
-# deprecated entry points (behaviour pinned by tests/test_campaign.py)
-# ----------------------------------------------------------------------
-def run_shard_plan(plan: ScenarioPlan) -> Dict[str, Any]:
-    """.. deprecated:: PR 9
-        The module-level worker primitive is :func:`execute_plan`
-        (identical payload); this alias warns once and forwards.
-    """
-    warn_deprecated_once(
-        "run_shard_plan",
-        "run_shard_plan is deprecated: use repro.campaign.execute_plan "
-        "(same payload, the one executor primitive)."
-    )
-    return execute_plan(plan)

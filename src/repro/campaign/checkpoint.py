@@ -97,7 +97,7 @@ class CampaignCheckpoint:
         """Register (or re-open) one cell and pin its shard resolution.
 
         ``requested_shards`` records the backend's *policy* ("auto" for
-        an autotuning ``ProcessShardBackend(shards=None)``, the number
+        an autotuning ``DistributedBackend(shards=None)``, the number
         otherwise); ``resolved_shards`` records the *decision*, which
         every later sitting reuses.
         """

@@ -6,7 +6,7 @@ SQLite store ``repro.obs`` uses; default ``BENCH_history.sqlite``) and
 ``--json`` for machine-readable output.
 
     python -m repro.campaign run --scenario zapping-storm --seeds 1 2 \\
-        --backend process --campaign-id nightly
+        --backend distributed --campaign-id nightly
     python -m repro.campaign resume nightly        # skip durable shards
     python -m repro.campaign status nightly        # cells, shards, digests
     python -m repro.campaign list                  # known campaigns
@@ -26,7 +26,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .backends import ProcessShardBackend, SerialBackend
+from .backends import SerialBackend
 from .checkpoint import CampaignCheckpoint, new_campaign_id, resume_campaign
 from .core import Campaign
 from .distributed import (
@@ -40,7 +40,7 @@ from .report import CampaignReport, format_campaign_table
 
 DEFAULT_DB = "BENCH_history.sqlite"
 
-BACKENDS = ("serial", "process", "inline", "distributed", "socket")
+BACKENDS = ("serial", "inline", "distributed", "socket")
 
 
 def _parse_address(value: str):
@@ -56,8 +56,6 @@ def _make_backend(args: argparse.Namespace):
     shards: Optional[int] = args.shards
     if args.backend == "serial":
         return SerialBackend()
-    if args.backend == "process":
-        return ProcessShardBackend(shards=shards)
     if args.backend == "inline":
         return DistributedBackend(InlineExecutor(), shards=shards)
     if args.backend == "distributed":

@@ -1,19 +1,21 @@
 """Campaign: the unified entry point for running scenario campaigns.
 
-One class replaces the three overlapping PR 1/PR 2 surfaces
-(``ExperimentRunner``, ``ScenarioRunner``, raw ``MonitorFleet``
-driving): a :class:`Campaign` is a scenario × seed *plan* — scenarios
-given as library names or :class:`~repro.scenarios.ScenarioSpec`
-objects — executed by a pluggable
+A :class:`Campaign` is a scenario × seed *plan* — scenarios given as
+library names or :class:`~repro.scenarios.ScenarioSpec` objects —
+executed by a pluggable
 :class:`~repro.campaign.backends.ExecutorBackend`.
 
-    from repro.campaign import Campaign, ProcessShardBackend
+    from repro.campaign import (
+        Campaign, DistributedBackend, ProcessWorkerExecutor,
+    )
 
     campaign = Campaign(["zapping-storm", "alert-flood"], seeds=[1, 2])
     reports = campaign.run()                          # serial, in-process
-    sharded = campaign.run(ProcessShardBackend(shards=4))
+    sharded = campaign.run(
+        DistributedBackend(ProcessWorkerExecutor(), shards=4)
+    )
 
-Since PR 9 every backend flows through :func:`execute_cell` — THE
+Every backend flows through :func:`execute_cell` — THE
 orchestration path: build the placement plan, resolve the shard count,
 partition, skip shards a checkpoint already holds, submit the rest
 through the backend's executor seam, merge.  Attaching a
@@ -63,7 +65,7 @@ def execute_cell(
     campaign_id: Optional[str] = None,
 ) -> CampaignReport:
     """Run one (scenario, seed) cell — the single path every backend
-    (serial, process-sharded, distributed) flows through.
+    (serial or distributed) flows through.
 
     1. resolve the shard count — from the backend's policy, or from the
        checkpoint row when the cell was started before (the partition
@@ -125,8 +127,7 @@ def run_cell(
     checkpoint: Optional[Any] = None,
     campaign_id: Optional[str] = None,
 ) -> CampaignReport:
-    """Run a single cell by spec or library name (the blessed one-off
-    surface; replaces the deprecated ``backend.run(spec, seed)``)."""
+    """Run a single cell by spec or library name (the one-off surface)."""
     return execute_cell(
         _resolve_scenario(scenario), seed, backend=backend,
         checkpoint=checkpoint, campaign_id=campaign_id,
@@ -137,8 +138,7 @@ def run_cell(
 class CellExecution:
     """A serial cell run with its live in-process objects.
 
-    What ``SerialBackend.run_detailed`` used to return as a bare triple:
-    the merged report plus the :class:`FleetReport` and the live
+    The merged report plus the :class:`FleetReport` and the live
     :class:`CompiledScenario` (members, span recorder, fleet) for
     callers that inspect the simulation — the fuzz oracle, the trace
     exporter, tests.

@@ -50,12 +50,12 @@ class OnlineDiagnoser:
         #: itself on the silent ``obs.*`` namespace (free with no
         #: SpanRecorder subscribed; never visible to ``suo.*`` digests).
         self._span = tv.kernel.bus.publisher(f"obs.{tv.suo_id}.span")
-        tv.remote.input_hooks.append(self._on_press)
+        tv.bus.subscribe(tv.remote.topic, self._on_press)
 
     # ------------------------------------------------------------------
     # step management: one step per key press
     # ------------------------------------------------------------------
-    def _on_press(self, press) -> None:
+    def _on_press(self, _topic, press) -> None:
         self._close_step()
         self.instrumenter.begin_step(press.key)
         self._step_open = True

@@ -40,8 +40,8 @@ import traceback
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
-from ..campaign.backends import ProcessShardBackend
 from ..campaign.core import run_cell, run_cell_detailed
+from ..campaign.distributed import DistributedBackend, InlineExecutor
 from ..campaign.report import CampaignReport
 from ..scenarios.spec import ScenarioSpec
 from .coverage import coverage_keys
@@ -224,7 +224,10 @@ def evaluate_candidate(
         shard_span_digest = None
         if check_divergence and spec.members >= 2:
             sharded = run_cell(
-                spec, seed, backend=ProcessShardBackend(shards=2, inline=True)
+                spec, seed,
+                backend=DistributedBackend(
+                    InlineExecutor(), shards=2, parallelism=1
+                ),
             )
             shard_digest = sharded.telemetry_digest
             if spec.record_spans:

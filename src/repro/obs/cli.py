@@ -37,11 +37,14 @@ DEFAULT_DB = "BENCH_history.sqlite"
 def _run_campaign(name: str, seed: int, shards: Optional[int]):
     """Run one library scenario with span recording enabled; returns
     the CampaignReport (its ``spans`` block carries the episodes)."""
-    from ..campaign import ProcessShardBackend, run_cell
+    from ..campaign import DistributedBackend, ProcessWorkerExecutor, run_cell
     from ..scenarios import get_scenario
 
     spec = replace(get_scenario(name), record_spans=True)
-    backend = None if not shards else ProcessShardBackend(shards=shards)
+    backend = (
+        DistributedBackend(ProcessWorkerExecutor(), shards=shards)
+        if shards else None
+    )
     return run_cell(spec, seed, backend=backend)
 
 

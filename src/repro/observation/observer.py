@@ -11,10 +11,9 @@ Probes are *attachment only*: none of them changes SUO behaviour (beyond
 negligible overhead accounting), the property that makes the approach
 viable for third-party and legacy components.
 
-Input and output probes attach two ways: directly to one SUO's hook list
-(``attach``), or to the runtime bus (``attach_bus``) — the latter watches
-a ``suo.<suo_id>.*`` topic namespace without holding a reference to the
-SUO at all, which is how probes observe fleet members.
+Input and output probes attach to the runtime bus (``attach_bus``): they
+watch a ``suo.<suo_id>.*`` topic namespace without holding a reference
+to the SUO at all, which is how probes observe fleet members too.
 """
 
 from __future__ import annotations
@@ -36,9 +35,6 @@ class InputProbe:
         self.name = name
         self.count = 0
 
-    def attach(self, remote) -> None:
-        remote.input_hooks.append(self._on_press)
-
     def attach_bus(self, bus: EventBus, suo_id: str = "tv") -> Subscription:
         """Observe one SUO's key presses via the runtime bus."""
         return bus.subscribe(
@@ -57,9 +53,6 @@ class OutputProbe:
         self.trace = trace
         self.name = name
         self.count = 0
-
-    def attach(self, tv) -> None:
-        tv.output_hooks.append(self._on_output)
 
     def attach_bus(self, bus: EventBus, suo_id: str = "tv") -> Subscription:
         """Observe one SUO's output events via the runtime bus."""

@@ -20,7 +20,7 @@ checking, and injectable faults:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, List, Optional
 
 from ..koala.component import Component
 from ..sim.kernel import Kernel
@@ -215,8 +215,6 @@ class Printer:
         self.queue: List[PrintJob] = []
         self.completed: List[PrintJob] = []
         self.pages: List[PrintedPage] = []
-        self.output_hooks: List[Callable[[str, Any], None]] = []
-        self.command_hooks: List[Callable[[str], None]] = []
         self._job_counter = 0
         self._worker: Optional[Process] = None
         self._rate_publisher: Optional[Process] = None
@@ -229,7 +227,7 @@ class Printer:
         self._job_counter += 1
         job = PrintJob(job_id=self._job_counter, pages=pages, staple=staple)
         self.queue.append(job)
-        self._notify_command("submit")
+        self._publish_command("submit")
         if self.status == "idle":
             self._set_status("printing")
             self._start_worker()
@@ -237,17 +235,17 @@ class Printer:
         return job
 
     def pause(self) -> None:
-        self._notify_command("pause")
+        self._publish_command("pause")
         if self.status == "printing":
             self._set_status("paused")
 
     def resume(self) -> None:
-        self._notify_command("resume")
+        self._publish_command("resume")
         if self.status == "paused":
             self._set_status("printing")
 
     def cancel_all(self) -> None:
-        self._notify_command("cancel")
+        self._publish_command("cancel")
         self.queue.clear()
         if self._worker is not None and self._worker.alive:
             self._worker.kill("cancel")
@@ -322,14 +320,7 @@ class Printer:
         self._publish("status", status)
 
     def _publish(self, name: str, value: Any) -> None:
-        for hook in self.output_hooks:
-            hook(name, value)
         self._publish_output((name, value))
-
-    def _notify_command(self, command: str) -> None:
-        for hook in self.command_hooks:
-            hook(command)
-        self._publish_command(command)
 
     def page_rate(self, window: Optional[float] = None) -> float:
         """Pages delivered per time unit over the trailing window."""

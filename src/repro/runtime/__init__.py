@@ -8,8 +8,7 @@ This package is the scale layer the ROADMAP's north star asks for:
   replacement for the old ``kernel.registry`` dict;
 * :mod:`repro.runtime.fleet` — :class:`MonitorFleet` running hundreds
   of monitored SUOs on one kernel with deterministic per-SUO random
-  streams (plus the deprecated :class:`ExperimentRunner` shim; new
-  campaigns go through :mod:`repro.campaign`);
+  streams (campaigns over it go through :mod:`repro.campaign`);
 * :mod:`repro.runtime.telemetry` — :class:`FleetTelemetry` and its
   bounded-memory aggregators (counters, windowed rates, reservoir
   histograms), the streaming alternative to retaining the merged fleet
@@ -37,7 +36,6 @@ __all__ = [
     "CounterSet",
     "RecoveryStats",
     "EventBus",
-    "ExperimentRunner",
     "FleetMember",
     "FleetReport",
     "FleetTelemetry",
@@ -53,7 +51,6 @@ __all__ = [
 
 _FLEET_NAMES = {
     "MonitorFleet",
-    "ExperimentRunner",
     "FleetMember",
     "FleetReport",
     "build_fleet_report",

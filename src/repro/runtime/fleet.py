@@ -16,17 +16,15 @@ monitors onto one :class:`~repro.sim.kernel.Kernel` and one
 * a wildcard ``suo.*`` subscription records the merged fleet trace, whose
   :meth:`MonitorFleet.trace_digest` is the determinism witness.
 
-:class:`ExperimentRunner` drives campaigns over a fleet: seeded random
-users on every device, fault injection into a deterministic subset, and a
-:class:`FleetReport` with detection and throughput numbers — the repo's
-first high-volume workload (hundreds of devices per run).
+Campaigns over a fleet are declared as a
+:class:`~repro.scenarios.ScenarioSpec` and run through
+:mod:`repro.campaign`; :func:`build_fleet_report` folds each run into a
+:class:`FleetReport` with detection and throughput numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time as wallclock
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -285,23 +283,19 @@ class MonitorFleet:
         return self._record_count
 
     # ------------------------------------------------------------------
-    # drivers and faults
+    # drivers
     # ------------------------------------------------------------------
     def start_random_users(
         self,
+        members: List[FleetMember],
         mean_gap: float = 4.0,
         keys: Optional[List[str]] = None,
-        members: Optional[List[FleetMember]] = None,
     ) -> int:
-        """Attach a seeded random user to TV members; returns count.
-
-        By default every TV gets one; pass ``members`` to drive only a
-        subset (scenario user profiles assign different gap/key mixes to
-        different groups this way).
-        """
+        """Attach a seeded random user to each TV in ``members``; returns
+        count.  Scenario user profiles assign different gap/key mixes to
+        different groups this way."""
         started = 0
-        pool = members if members is not None else list(self.members.values())
-        for member in pool:
+        for member in members:
             if member.kind != "tv" or member.driver is not None:
                 continue
             member.driver = RandomUser(
@@ -311,46 +305,6 @@ class MonitorFleet:
             member.driver.start()
             started += 1
         return started
-
-    def power_on_tvs(self, stagger: float = 0.1) -> None:
-        """Deterministically power every TV, staggered to avoid one
-        giant same-timestamp batch at t=0."""
-        for index, member in enumerate(self.members.values()):
-            if member.kind != "tv":
-                continue
-            member.suo.remote.schedule_press(index * stagger, "power")
-
-    def inject_faults(
-        self,
-        fraction: float = 0.25,
-        fault: str = "volume_overshoot",
-        at: float = 0.0,
-        stream: str = "faults",
-    ) -> List[FleetMember]:
-        """Activate ``fault`` on a seeded random subset of TV members.
-
-        Selection draws from the fleet-level stream, so the same fleet
-        seed always afflicts the same devices.
-        """
-        rng = self.streams.stream(stream)
-        targets: List[FleetMember] = []
-        for member in self.members.values():
-            if member.kind != "tv":
-                continue
-            if rng.random() < fraction:
-                targets.append(member)
-                member.faulty = True
-                flags = member.suo.control.fault_flags
-
-                def activate(flags=flags, name=fault) -> None:
-                    flags[name] = True
-
-                self.kernel.schedule(
-                    max(0.0, at - self.kernel.now),
-                    activate,
-                    name=f"fault:{member.suo_id}",
-                )
-        return targets
 
     # ------------------------------------------------------------------
     def run(self, duration: float) -> int:
@@ -418,12 +372,7 @@ def build_fleet_report(
     wall_seconds: float,
     faulty: List["FleetMember"],
 ) -> FleetReport:
-    """Fold a finished campaign segment into a :class:`FleetReport`.
-
-    Shared by :class:`ExperimentRunner` and the scenario engine
-    (:mod:`repro.scenarios`), so every campaign — hand-coded or
-    declarative — reports through one schema.
-    """
+    """Fold a finished campaign segment into a :class:`FleetReport`."""
     errors = {m.suo_id: m.error_count for m in fleet.members.values()}
     detected = [m.suo_id for m in faulty if m.error_count > 0]
     false_alarms = [
@@ -452,88 +401,3 @@ def build_fleet_report(
             if m.monitor is not None and not m.faulty
         ),
     )
-
-
-#: Keys of deprecation warnings already emitted — the shims are often
-#: constructed in sweep loops, and one warning per process is signal
-#: while hundreds are noise.  Tests discard a key to assert on it.
-_DEPRECATION_WARNED: set = set()
-
-
-def warn_deprecated_once(key: str, message: str) -> None:
-    """Emit ``message`` as a DeprecationWarning once per process per key."""
-    if key in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=3)
-
-
-class ExperimentRunner:
-    """Run a fault-injection campaign across a :class:`MonitorFleet`.
-
-    .. deprecated:: PR 3
-        :class:`repro.campaign.Campaign` is the unified campaign entry
-        point (declarative specs, pluggable serial/sharded execution
-        backends).  ``ExperimentRunner`` remains for hand-built fleets
-        the declarative layer cannot express, but new code should write
-        a :class:`~repro.scenarios.ScenarioSpec` and run it through a
-        ``Campaign``.
-
-    ``run()`` may be called repeatedly: the first call performs the
-    campaign setup (power-on, random users, fault injection) and every
-    call advances the same campaign by ``duration`` — setup is never
-    re-applied, so a second ``run()`` extends the session instead of
-    toggling every TV back into standby or double-attaching drivers.
-    Every report covers the campaign *from its start*: duration,
-    dispatched, and wall time accumulate across segments, matching the
-    cumulative error counts, trace records, and telemetry it carries.
-    """
-
-    def __init__(
-        self,
-        fleet: MonitorFleet,
-        duration: float = 120.0,
-        mean_gap: float = 4.0,
-        fault: str = "volume_overshoot",
-        fault_fraction: float = 0.0,
-        fault_time: Optional[float] = None,
-        keys: Optional[List[str]] = None,
-    ) -> None:
-        warn_deprecated_once(
-            "ExperimentRunner",
-            "ExperimentRunner is deprecated: build a ScenarioSpec and run "
-            "it through repro.campaign.Campaign (serial or sharded)."
-        )
-        self.fleet = fleet
-        self.duration = duration
-        self.mean_gap = mean_gap
-        self.fault = fault
-        self.fault_fraction = fault_fraction
-        self.fault_time = fault_time if fault_time is not None else duration / 3.0
-        self.keys = keys
-        self._faulty: List[FleetMember] = []
-        self._started = False
-        self._elapsed = 0.0
-        self._dispatched = 0
-        self._wall = 0.0
-
-    def run(self) -> FleetReport:
-        fleet = self.fleet
-        if not self._started:
-            self._started = True
-            fleet.power_on_tvs()
-            fleet.start_random_users(mean_gap=self.mean_gap, keys=self.keys)
-            if self.fault_fraction > 0.0:
-                self._faulty = fleet.inject_faults(
-                    fraction=self.fault_fraction,
-                    fault=self.fault,
-                    at=fleet.kernel.now + self.fault_time,
-                )
-        start = wallclock.perf_counter()
-        dispatched = fleet.run(self.duration)
-        self._wall += wallclock.perf_counter() - start
-        self._elapsed += self.duration
-        self._dispatched += dispatched
-        return build_fleet_report(
-            fleet, self._elapsed, self._dispatched, self._wall, self._faulty
-        )

@@ -7,17 +7,14 @@ The subsystem every workload PR plugs into:
 * :mod:`repro.scenarios.compile` — :class:`CompiledScenario`, lowering a
   spec onto a :class:`~repro.runtime.fleet.MonitorFleet`;
 * :mod:`repro.scenarios.library` — ≥10 named scenarios
-  (``zapping-storm`` … ``recovery-ladder-drill``) in a registry;
-* :mod:`repro.scenarios.runner`  — :class:`ScenarioRunner`, sweeping
-  scenario × seed grids into :class:`ScenarioReport` cells.
+  (``zapping-storm`` … ``recovery-ladder-drill``) in a registry.
 
-Quick start::
+Scenarios run through :mod:`repro.campaign`::
 
-    from repro.scenarios import ScenarioRunner, scenario_names
+    from repro.campaign import run_cell
 
-    runner = ScenarioRunner()
-    report = runner.run("zapping-storm", seed=7)
-    print(report.telemetry["events_total"], report.telemetry_digest)
+    report = run_cell("zapping-storm", seed=7)
+    print(report.telemetry_summary["events_total"], report.telemetry_digest)
 """
 
 from .compile import CompiledScenario, FAULT_ACTIONS
@@ -42,7 +39,6 @@ from .library import (
     register_scenario,
     scenario_names,
 )
-from .runner import ScenarioReport, ScenarioRunner, format_table
 from .spec import (
     KNOWN_FAULTS,
     LOAD_FAULTS,
@@ -64,14 +60,11 @@ __all__ = [
     "PlannedMember",
     "SCENARIOS",
     "ScenarioPlan",
-    "ScenarioReport",
-    "ScenarioRunner",
     "ScenarioSpec",
     "UserProfile",
     "build_plan",
     "derive_shard_seed",
     "exercise_profile",
-    "format_table",
     "get_scenario",
     "partition_plan",
     "register_scenario",

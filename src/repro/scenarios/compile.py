@@ -15,7 +15,7 @@ in-run per-member streams key to ``(campaign seed, suo_id)``.  The same
 ``(spec, seed)`` pair therefore reproduces the identical event stream,
 trace digest, and telemetry summary — *and* each member's stream is
 placement-invariant, which is what lets
-:class:`~repro.campaign.ProcessShardBackend` partition a scenario across
+:class:`~repro.campaign.DistributedBackend` partition a scenario across
 worker processes without perturbing any member's behaviour.
 """
 
@@ -123,9 +123,8 @@ RECOVERY_REPAIRS: Dict[Tuple[str, str], Action] = {
 class CompiledScenario:
     """One :class:`ScenarioSpec` lowered onto a fresh MonitorFleet.
 
-    ``run()`` may be called repeatedly; like
-    :class:`~repro.runtime.fleet.ExperimentRunner`, setup happens once
-    and later calls extend the campaign by another ``spec.duration``.
+    ``run()`` may be called repeatedly: setup happens once and later
+    calls extend the campaign by another ``spec.duration``.
 
     Every pre-run decision comes from a :class:`ScenarioPlan` (built
     here when not supplied), so a shard worker can compile its slice of
@@ -254,9 +253,8 @@ class CompiledScenario:
     def _power_on_tvs(self) -> None:
         """Stagger power-on by the *campaign-global* kind index, so a
         shard's TVs power up at the same simulated instants as in the
-        serial run (matches ``MonitorFleet.power_on_tvs`` for full
-        plans, where slot order equals admission order).  Scripted
-        members are skipped: their key script controls power itself."""
+        serial run.  Scripted members are skipped: their key script
+        controls power itself."""
         scripted = self._scripted_suo_ids()
         for member in self._members_of("tv"):
             if member.suo_id in scripted:

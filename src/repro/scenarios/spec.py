@@ -2,9 +2,8 @@
 
 The paper's industry-as-laboratory method (Sect. 3) validates awareness
 monitors by driving real systems through realistic usage — which only
-works if the workloads are *diverse* and *reproducible*.  PR 1's
-:class:`~repro.runtime.fleet.ExperimentRunner` made campaigns runnable;
-this module makes them **declarative**: a :class:`ScenarioSpec` names a
+works if the workloads are *diverse* and *reproducible*.  This module
+makes campaigns **declarative**: a :class:`ScenarioSpec` names a
 device mix, per-profile user behaviors, and a phased fault-injection
 schedule, and the compiler (:mod:`repro.scenarios.compile`) lowers it
 onto a :class:`~repro.runtime.fleet.MonitorFleet`.

@@ -279,14 +279,6 @@ class Kernel:
         if len(free) < FREELIST_CAP:
             free.append(event)
 
-    def add_dispatch_hook(self, hook: Callable[[Event], None]) -> None:
-        """Register a hook called just before every event dispatch.
-
-        Compatibility shim over ``bus.subscribe(DISPATCH_TOPIC, ...)``;
-        new code should subscribe to the bus directly.
-        """
-        self.bus.subscribe(DISPATCH_TOPIC, lambda _topic, event, _h=hook: _h(event))
-
     # ------------------------------------------------------------------
     # cancellation debt / heap compaction
     # ------------------------------------------------------------------
@@ -375,10 +367,11 @@ class Kernel:
         member at the same timestamp merge into the batch in heap order.
 
         Transient events are recycled right after their callback is
-        looked up, but only while no dispatch hook is attached — a hook
-        may legitimately inspect (though not retain) the Event object it
-        receives, so observation disables reuse rather than risking a
-        recycled object changing under an observer.
+        looked up, but only while nothing subscribes to
+        :data:`DISPATCH_TOPIC` — a subscriber may legitimately inspect
+        (though not retain) the Event object it receives, so observation
+        disables reuse rather than risking a recycled object changing
+        under an observer.
         """
         dispatched = 0
         if max_events is not None and max_events <= 0:

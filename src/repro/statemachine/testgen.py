@@ -70,6 +70,9 @@ class CoverageReport:
 class TestGenerator:
     """Builds transition-covering scenarios for a machine."""
 
+    #: Not a pytest test class, despite the name.
+    __test__ = False
+
     def __init__(
         self,
         machine: Machine,

@@ -47,7 +47,7 @@ class FaultInjector:
         self.tv = tv
         self.plan: Dict[str, FaultSpec] = {}
         self._press_count = 0
-        tv.remote.input_hooks.append(self._on_press)
+        tv.bus.subscribe(tv.remote.topic, self._on_press)
 
     # ------------------------------------------------------------------
     def inject(self, name: str, activate_after_presses: int = 0) -> FaultSpec:
@@ -79,7 +79,7 @@ class FaultInjector:
         return [name for name, spec in self.plan.items() if spec.active]
 
     # ------------------------------------------------------------------
-    def _on_press(self, press) -> None:
+    def _on_press(self, _topic, _press) -> None:
         self._press_count += 1
         for spec in self.plan.values():
             if (

@@ -12,7 +12,7 @@ specification model of the player's control behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Generator, List, Optional
 
 from ..sim.kernel import Kernel
 from ..sim.process import Delay, Interrupted, Process
@@ -87,7 +87,6 @@ class MediaPlayer:
         #: decoder (it neither produces output nor skips the packet).
         self.stall_on_corrupt = False
         self.stalled = False
-        self.output_hooks: List[Callable[[str, Any], None]] = []
         self._demux_index = 0
         self._packets: Optional[Store] = None
         self._frames: Optional[Store] = None
@@ -266,8 +265,6 @@ class MediaPlayer:
 
     # ------------------------------------------------------------------
     def _publish(self, name: str, value: Any) -> None:
-        for hook in self.output_hooks:
-            hook(name, value)
         self._publish_output((name, value))
 
     def buffer_level(self) -> int:

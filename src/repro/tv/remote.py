@@ -2,8 +2,8 @@
 
 The awareness framework observes "key presses from the remote control"
 (Sect. 3) as its primary input events.  :class:`RemoteControl` delivers
-key presses into the TV and notifies input hooks — the "SUO modification"
-of Fig. 2 that sends input events to the Input Observer.
+key presses into the TV and publishes them on the runtime bus — the "SUO
+modification" of Fig. 2 that sends input events to the Input Observer.
 
 :class:`KeySequence` provides scripted scenarios (the 27-key-press
 scenario of Sect. 4.4 is such a script) and :class:`RandomUser` generates
@@ -51,23 +51,19 @@ class KeyPress:
 class RemoteControl:
     """Delivers key presses to a handler and mirrors them to observers.
 
-    Observers attach either through the legacy ``input_hooks`` list or —
-    when ``topic`` is given — through the kernel's runtime bus, which is
-    how fleet-scale monitors watch many remotes without per-object wiring.
+    Every press is published on ``topic`` on the kernel's runtime bus
+    before the handler runs; observers subscribe there, which is how
+    fleet-scale monitors watch many remotes without per-object wiring.
     """
 
     def __init__(
-        self,
-        kernel: Kernel,
-        handler: Callable[[str], None],
-        topic: Optional[str] = None,
+        self, kernel: Kernel, handler: Callable[[str], None], topic: str
     ) -> None:
         self.kernel = kernel
         self.handler = handler
         self.topic = topic
-        self._publish = kernel.bus.publisher(topic) if topic else None
+        self._publish = kernel.bus.publisher(topic)
         self.presses: List[KeyPress] = []
-        self.input_hooks: List[Callable[[KeyPress], None]] = []
 
     def press(self, key: str) -> KeyPress:
         """Press a key *now* (at current kernel time)."""
@@ -75,10 +71,7 @@ class RemoteControl:
             raise ValueError(f"unknown key {key!r}")
         press = KeyPress(self.kernel.now, key, len(self.presses))
         self.presses.append(press)
-        for hook in self.input_hooks:
-            hook(press)
-        if self._publish is not None:
-            self._publish(press)
+        self._publish(press)
         self.handler(key)
         return press
 

@@ -446,9 +446,6 @@ class TVSet:
 
         # observables ---------------------------------------------------
         self.output_events: List[OutputEvent] = []
-        self.output_hooks: List[Callable[[OutputEvent], None]] = []
-        #: Non-key stimuli (broadcast alerts) mirrored to observers.
-        self.stimulus_hooks: List[Callable[[str], None]] = []
         self._last_published: Dict[str, Any] = {}
         self._transient_events: Dict[str, Any] = {}
 
@@ -533,8 +530,6 @@ class TVSet:
         """An emergency alert arrives from the broadcaster."""
         if not self.powered:
             return
-        for hook in self.stimulus_hooks:
-            hook("alert_broadcast")
         self._publish_stimulus("alert_broadcast")
         self.features.handle("features", "raise_alert")
         if self.osd.op_osd_current_overlay() == "ttx":
@@ -578,8 +573,6 @@ class TVSet:
         self._last_published[name] = value
         event = OutputEvent(self.kernel.now, name, value)
         self.output_events.append(event)
-        for hook in self.output_hooks:
-            hook(event)
         self._publish_output(event)
 
     # ------------------------------------------------------------------

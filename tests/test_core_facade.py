@@ -1,7 +1,59 @@
 """Tests for the integrated TraderTV facade."""
 
+import hashlib
+import json
 
 from repro.core import TraderTV
+
+#: Faults per seed, each dormant until its press count: the injector's
+#: press counting, the online diagnoser's step boundaries and the
+#: monitor all watch the same ``suo.tv.input`` topic.
+WIRING_PLANS = {
+    3: (("drop_ttx_notify", 3), ("menu_opens_epg", 6)),
+    7: (("ttx_stale_render", 2), ("mute_noop", 7)),
+    11: (("ttx_stale_render", 4), ("mute_noop", 8)),
+    19: (("drop_ttx_notify", 2), ("mute_noop", 5)),
+}
+WIRING_KEYS = [
+    "power", "ttx", "ttx", "ch_up", "ttx", "vol_up", "vol_up", "mute",
+    "mute", "ttx", "ch_down", "ttx", "menu", "back", "vol_down",
+]
+#: SHA-256 over every incident of the four sessions above.
+WIRING_DIGEST = (
+    "dc81f0e5fc15eb814ae082cf6b64a007f35ce4c1ae01e9a389b1d82c00c2b4ee"
+)
+
+
+def _incident_rows(seed):
+    system = TraderTV(seed=seed)
+    for fault, after in WIRING_PLANS[seed]:
+        system.inject(fault, activate_after_presses=after)
+    system.press_sequence(WIRING_KEYS, gap=4.0)
+    system.run(30.0)
+    return [
+        [
+            round(incident.report.time, 9),
+            incident.report.observable,
+            None if incident.diagnosis is None
+            else [list(entry) for entry in incident.diagnosis.ranking[:5]],
+            None if incident.action is None
+            else [incident.action.kind, incident.action.target],
+            incident.recovered,
+        ]
+        for incident in system.loop.incidents
+    ]
+
+
+def test_wiring_order_pins_incidents():
+    """Injector, monitor and diagnoser wiring order, pinned end to end:
+    moving any of them changes which press a fault activates on, which
+    step an error lands in, or which repair the ladder picks."""
+    digest = hashlib.sha256()
+    for seed in sorted(WIRING_PLANS):
+        rows = _incident_rows(seed)
+        assert rows, f"seed {seed} raised no incident"
+        digest.update(json.dumps(rows, sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == WIRING_DIGEST
 
 
 class TestTraderTV:

@@ -30,7 +30,7 @@ class TestPlayerObservables:
     def test_position_and_buffer_published(self):
         kernel, player = make_player(packet_count=60)
         events = []
-        player.output_hooks.append(lambda name, value: events.append((name, value)))
+        kernel.bus.subscribe("suo.p0.output", lambda _topic, event: events.append(event))
         player.command("play")
         kernel.run(until=10.0)
         names = {name for name, _value in events}
@@ -56,8 +56,10 @@ class TestPlayerObservables:
         player.command("play")
         kernel.run(until=10.0)
         positions = []
-        player.output_hooks.append(
-            lambda name, value: positions.append(value) if name == "position" else None
+        kernel.bus.subscribe(
+            "suo.p0.output",
+            lambda _topic, event: positions.append(event[1])
+            if event[0] == "position" else None,
         )
         player.command("seek", position=100.0)
         kernel.run(until=14.0)
@@ -154,9 +156,10 @@ class TestPrinterDepth:
     def test_page_rate_tracks_throughput(self):
         printer = Printer(suo_id="pr0")
         rates = []
-        printer.output_hooks.append(
-            lambda name, value: rates.append((printer.kernel.now, value))
-            if name == "page_rate" else None
+        printer.kernel.bus.subscribe(
+            "suo.pr0.output",
+            lambda _topic, event: rates.append((printer.kernel.now, event[1]))
+            if event[0] == "page_rate" else None,
         )
         printer.submit(pages=12)
         printer.kernel.run(until=20.0)
@@ -176,8 +179,10 @@ class TestPrinterDepth:
     def test_job_done_published_per_job(self):
         printer = Printer(suo_id="pr0")
         done = []
-        printer.output_hooks.append(
-            lambda name, value: done.append(value) if name == "job_done" else None
+        printer.kernel.bus.subscribe(
+            "suo.pr0.output",
+            lambda _topic, event: done.append(event[1])
+            if event[0] == "job_done" else None,
         )
         printer.submit(pages=2)
         printer.submit(pages=1)

@@ -17,7 +17,6 @@ from repro.campaign import (
     CampaignCheckpoint,
     DistributedBackend,
     InlineExecutor,
-    ProcessShardBackend,
     ProcessWorkerExecutor,
     ShardExhaustedError,
     ShardResult,
@@ -274,7 +273,7 @@ def test_resume_reuses_recorded_shard_resolution(tmp_path):
 def test_autotune_decision_is_recorded_in_the_checkpoint_row(tmp_path):
     spec = get_scenario("zapping-storm")  # 120 members at full scale
     db = str(tmp_path / "checkpoint.sqlite")
-    backend = ProcessShardBackend(shards=None, inline=True)
+    backend = DistributedBackend(InlineExecutor(), shards=None, parallelism=1)
     with CampaignCheckpoint(db) as checkpoint:
         run_cell(
             spec, 5, backend=backend,

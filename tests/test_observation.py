@@ -21,7 +21,7 @@ class TestProbes:
         tv = TVSet(seed=1)
         trace = Trace(clock=lambda: tv.kernel.now)
         probe = InputProbe(trace)
-        probe.attach(tv.remote)
+        probe.attach_bus(tv.bus)
         tv.press("power")
         tv.press("vol_up")
         keys = [r.value["key"] for r in trace.of_kind("key")]
@@ -31,7 +31,7 @@ class TestProbes:
         tv = TVSet(seed=1)
         trace = Trace(clock=lambda: tv.kernel.now)
         probe = OutputProbe(trace)
-        probe.attach(tv)
+        probe.attach_bus(tv.bus)
         tv.press("power")
         assert trace.count("out:screen") >= 1
         assert trace.count("out:sound") >= 1

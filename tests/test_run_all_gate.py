@@ -18,7 +18,12 @@ if BENCHMARKS not in sys.path:
 
 from run_all import evaluate_report, skipped_gates  # noqa: E402
 
-from repro.campaign import ProcessShardBackend, resolve_shards  # noqa: E402
+from repro.campaign import (  # noqa: E402
+    DistributedBackend,
+    InlineExecutor,
+    ProcessWorkerExecutor,
+    resolve_shards,
+)
 from repro.scenarios import ScenarioSpec  # noqa: E402
 
 
@@ -509,7 +514,10 @@ def test_span_forest_digest_is_shard_invariant(name):
 
     spec = replace(get_scenario(name), record_spans=True)
     serial = run_cell(spec, 7)
-    sharded = run_cell(spec, 7, backend=ProcessShardBackend(shards=2, inline=True))
+    sharded = run_cell(
+        spec, 7,
+        backend=DistributedBackend(InlineExecutor(), shards=2, parallelism=1),
+    )
     assert serial.spans["completed"] > 0
     assert sharded.span_digest == serial.span_digest
     assert sharded.spans["completed"] == serial.spans["completed"]
@@ -533,13 +541,13 @@ def test_resolve_shards_scales_with_members_and_caps_at_cpus():
 
 
 def test_backend_autotunes_when_shards_is_none():
-    backend = ProcessShardBackend(shards=None)
-    assert backend.name == "process-shard[auto]"
+    backend = DistributedBackend(ProcessWorkerExecutor(), shards=None)
+    assert backend.name == "distributed-process[auto]"
     spec = ScenarioSpec("auto", "d", duration=10.0, tvs=120)
     expected = resolve_shards(120)
     assert backend.resolve(spec) == expected
     with pytest.raises(ValueError, match="autotune"):
-        ProcessShardBackend(shards=0)
+        DistributedBackend(ProcessWorkerExecutor(), shards=0)
 
 
 def test_autotuned_run_matches_serial_digest():
@@ -550,7 +558,10 @@ def test_autotuned_run_matches_serial_digest():
         "auto-cell", "d", duration=20.0, tvs=6,
         profiles=(UserProfile("p", mean_gap=3.0, keys=("power", "vol_up")),),
     )
-    auto = run_cell(spec, 5, backend=ProcessShardBackend(shards=None, inline=True))
+    auto = run_cell(
+        spec, 5,
+        backend=DistributedBackend(InlineExecutor(), shards=None, parallelism=1),
+    )
     serial = run_cell(spec, 5)
     assert auto.telemetry_digest == serial.telemetry_digest
     assert auto.shards == resolve_shards(spec.members)

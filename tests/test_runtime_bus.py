@@ -173,15 +173,6 @@ def test_kernel_dispatch_topic_carries_events():
     assert seen == ["a", "b"]
 
 
-def test_kernel_dispatch_hook_shim_still_works():
-    kernel = Kernel()
-    seen = []
-    kernel.add_dispatch_hook(lambda event: seen.append(event.time))
-    kernel.schedule(1.5, lambda: None)
-    kernel.run()
-    assert seen == [1.5]
-
-
 # ----------------------------------------------------------------------
 # service registry
 # ----------------------------------------------------------------------

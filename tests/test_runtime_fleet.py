@@ -1,15 +1,35 @@
-"""Tests for the MonitorFleet / ExperimentRunner layer.
+"""Tests for the MonitorFleet layer.
 
 The fleet engine multiplexes many monitored SUOs on one kernel and one
 bus; the properties that matter are isolation (per-SUO topic namespaces),
 determinism (same seed → byte-identical fleet trace), and that the
 campaign machinery actually detects injected faults without false alarms.
+Campaigns over a fleet are :class:`ScenarioSpec` cells compiled by
+:class:`CompiledScenario`.
 """
 
 import pytest
 
-from repro.runtime import ExperimentRunner, MonitorFleet
+from repro.runtime import MonitorFleet, build_fleet_report
 from repro.runtime.fleet import derive_member_seed
+from repro.scenarios import CompiledScenario, FaultPhase, ScenarioSpec, UserProfile
+
+
+def _campaign(seed, tvs, duration, fault_fraction=0.0, keys=None, **spec_args):
+    """Compile a random-user fleet campaign; the volume fault (when
+    ``fault_fraction`` is set) activates a third of the way in."""
+    profile = UserProfile(
+        "user", mean_gap=spec_args.pop("mean_gap", 4.0),
+        keys=None if keys is None else tuple(keys),
+    )
+    phases = (FaultPhase(
+        "volume_overshoot", at=duration / 3.0, fraction=fault_fraction,
+    ),) if fault_fraction else ()
+    spec = ScenarioSpec(
+        "fleet-test", "test fixture", duration=duration, tvs=tvs,
+        profiles=(profile,), phases=phases, **spec_args,
+    )
+    return CompiledScenario(spec, seed)
 
 
 def test_members_share_one_kernel_and_bus():
@@ -61,11 +81,7 @@ def test_fleet_trace_is_deterministic_across_runs():
     """Same seed → byte-identical merged fleet trace (two fresh runs)."""
 
     def digest():
-        fleet = MonitorFleet(seed=11)
-        fleet.add_tvs(5)
-        fleet.add_player()
-        runner = ExperimentRunner(fleet, duration=40.0, fault_fraction=0.4)
-        report = runner.run()
+        report = _campaign(11, 5, 40.0, players=1, fault_fraction=0.4).run()
         return report.trace_digest, report.dispatched
 
     first, second = digest(), digest()
@@ -75,26 +91,19 @@ def test_fleet_trace_is_deterministic_across_runs():
 
 def test_different_seed_changes_the_trace():
     def digest(seed):
-        fleet = MonitorFleet(seed=seed)
-        fleet.add_tvs(3)
-        ExperimentRunner(fleet, duration=30.0).run()
-        return fleet.trace_digest()
+        compiled = _campaign(seed, 3, 30.0)
+        compiled.run()
+        return compiled.fleet.trace_digest()
 
     assert digest(1) != digest(2)
 
 
 def test_campaign_detects_injected_faults_without_false_alarms():
-    fleet = MonitorFleet(seed=42)
-    fleet.add_tvs(12)
-    runner = ExperimentRunner(
-        fleet,
-        duration=120.0,
-        fault_fraction=0.5,
-        fault="volume_overshoot",
+    report = _campaign(
+        42, 12, 120.0, fault_fraction=0.5,
         # volume-heavy sessions make the overshoot fault observable
         keys=["power", "vol_up", "vol_down", "ch_up", "mute", "menu", "back"],
-    )
-    report = runner.run()
+    ).run()
     assert report.members == 12
     assert report.faulty, "campaign should afflict someone at 50%"
     assert report.detected, "at least one injected fault must be caught"
@@ -105,12 +114,11 @@ def test_campaign_detects_injected_faults_without_false_alarms():
 
 def test_fleet_scales_to_one_hundred_suos():
     """The acceptance workload: 100 SUOs, one kernel, deterministic."""
-    fleet = MonitorFleet(seed=9)
-    fleet.add_tvs(100)
-    report = ExperimentRunner(fleet, duration=20.0).run()
+    compiled = _campaign(9, 100, 20.0)
+    report = compiled.run()
     assert report.members == 100
     assert report.dispatched > 10_000
-    powered = sum(1 for m in fleet.members.values() if m.suo.powered)
+    powered = sum(1 for m in compiled.fleet.members.values() if m.suo.powered)
     assert powered > 50  # random users zap some off; most stay on
 
 
@@ -154,11 +162,11 @@ def test_wall_clock_zero_does_not_divide():
 
 
 # ----------------------------------------------------------------------
-# ExperimentRunner edge cases
+# campaign edge cases
 # ----------------------------------------------------------------------
 def test_runner_on_an_empty_fleet():
     fleet = MonitorFleet(seed=1)
-    report = ExperimentRunner(fleet, duration=10.0, fault_fraction=0.5).run()
+    report = build_fleet_report(fleet, 10.0, fleet.run(10.0), 0.0, [])
     assert report.members == 0
     assert report.dispatched == 0
     assert report.faulty == []
@@ -168,12 +176,8 @@ def test_runner_on_an_empty_fleet():
 
 
 def test_runner_faults_into_every_member():
-    fleet = MonitorFleet(seed=8)
-    fleet.add_tvs(6)
-    report = ExperimentRunner(
-        fleet,
-        duration=120.0,
-        fault_fraction=1.0,
+    report = _campaign(
+        8, 6, 120.0, fault_fraction=1.0,
         keys=["power", "vol_up", "vol_down", "mute", "ch_up"],
     ).run()
     assert len(report.faulty) == 6  # fraction 1.0 afflicts everyone
@@ -183,9 +187,8 @@ def test_runner_faults_into_every_member():
 
 
 def test_repeated_run_extends_the_campaign_instead_of_restarting():
-    fleet = MonitorFleet(seed=21)
-    fleet.add_tvs(8)
-    runner = ExperimentRunner(fleet, duration=30.0, mean_gap=5.0)
+    runner = _campaign(21, 8, 30.0, mean_gap=5.0)
+    fleet = runner.fleet
     first = runner.run()
     powered = sum(1 for m in fleet.members.values() if m.suo.powered)
     assert powered > 0
@@ -201,10 +204,9 @@ def test_repeated_run_extends_the_campaign_instead_of_restarting():
 
 def test_streaming_mode_matches_retained_digest_with_no_records():
     def campaign(retain):
-        fleet = MonitorFleet(seed=13, retain_trace=retain)
-        fleet.add_tvs(4)
-        report = ExperimentRunner(fleet, duration=30.0).run()
-        return fleet, report
+        compiled = _campaign(13, 4, 30.0, retain_trace=retain)
+        report = compiled.run()
+        return compiled.fleet, report
 
     retained_fleet, retained = campaign(True)
     streaming_fleet, streaming = campaign(False)
@@ -228,8 +230,6 @@ def test_false_alarm_denominator_counts_monitored_clean_members():
         if member.monitor is None:
             member.faulty = True
     faulty = [m for m in fleet.members.values() if m.faulty]
-    from repro.runtime import build_fleet_report
-
     report = build_fleet_report(fleet, 1.0, 0, 0.0, faulty)
     assert report.monitored_clean == 3  # the three monitored, clean TVs
     assert report.false_alarm_rate == 0.0

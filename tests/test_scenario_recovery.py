@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from repro.campaign import ProcessShardBackend, run_cell
+from repro.campaign import DistributedBackend, ProcessWorkerExecutor, run_cell
 from repro.runtime.telemetry import mergeable_summary, merge_summaries
 from repro.scenarios import FaultPhase, ScenarioSpec, UserProfile, get_scenario
 from repro.scenarios.compile import CompiledScenario
@@ -100,7 +100,9 @@ def test_library_drill_records_finite_ttr_per_wave():
 def test_drill_recovery_stats_are_shard_invariant():
     spec = get_scenario("recovery-ladder-drill")
     serial = run_cell(spec, 7)
-    sharded = run_cell(spec, 7, backend=ProcessShardBackend(shards=2))
+    sharded = run_cell(
+        spec, 7, backend=DistributedBackend(ProcessWorkerExecutor(), shards=2)
+    )
     assert sharded.telemetry_digest == serial.telemetry_digest
     assert mergeable_summary(sharded.telemetry_summary)["recovery"] == \
         mergeable_summary(serial.telemetry_summary)["recovery"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Kernel, SimulationError
+from repro.sim import DISPATCH_TOPIC, Kernel, SimulationError
 
 
 def test_initial_time_is_zero():
@@ -121,7 +121,7 @@ def test_peek_time_skips_cancelled():
 def test_dispatch_hook_sees_every_event():
     kernel = Kernel()
     seen = []
-    kernel.add_dispatch_hook(lambda event: seen.append(event.time))
+    kernel.bus.subscribe(DISPATCH_TOPIC, lambda _topic, event: seen.append(event.time))
     kernel.schedule(1.0, lambda: None, name="a")
     kernel.schedule(2.0, lambda: None, name="b")
     kernel.run()

@@ -1,5 +1,7 @@
 """Tests for state machine semantics: hierarchy, RTC, timers, snapshots."""
 
+import copy
+
 import pytest
 
 from repro.statemachine import MachineBuilder, MachineError
@@ -254,3 +256,27 @@ class TestOutputs:
         machine.advance(3.0)
         machine.inject("power")
         assert machine.outputs[-1].time == 3.0
+
+
+class TestDeepCopy:
+    def test_deep_copied_tv_model_keeps_its_transitions(self):
+        """A deep copy re-creates every State; transitions keyed by the
+        states themselves follow the copy instead of being stranded under
+        the original objects' ids."""
+        from repro.tv import build_tv_model, key_to_event_name
+
+        original = build_tv_model()
+        clone = copy.deepcopy(original)
+        assert len(clone.transitions_from(clone.active)) == len(
+            original.transitions_from(original.active)
+        ) > 0
+        keys = ["power", "vol_up", "menu", "back", "ttx", "ch_up", "mute",
+                "dual", "epg", "power"]
+        for index, key in enumerate(keys):
+            name, params = key_to_event_name(key)
+            for machine in (original, clone):
+                machine.advance(2.0 * (index + 1))
+                machine.inject(name, **params)
+            assert clone.configuration() == original.configuration()
+        assert clone.vars == original.vars
+        assert clone.outputs == original.outputs

@@ -11,7 +11,12 @@ import math
 
 import pytest
 
-from repro.campaign import ProcessShardBackend, run_cell, run_cell_detailed
+from repro.campaign import (
+    DistributedBackend,
+    ProcessWorkerExecutor,
+    run_cell,
+    run_cell_detailed,
+)
 from repro.diagnosis.components import RankedComponent
 from repro.runtime.fleet import MonitorFleet
 from repro.runtime.telemetry import mergeable_summary, merge_summaries
@@ -106,7 +111,9 @@ def test_same_scenario_and_seed_yield_identical_rankings():
 def test_diagnosis_block_is_shard_invariant(name):
     spec = get_scenario(name)
     serial = run_cell(spec, 7)
-    sharded = run_cell(spec, 7, backend=ProcessShardBackend(shards=2))
+    sharded = run_cell(
+        spec, 7, backend=DistributedBackend(ProcessWorkerExecutor(), shards=2)
+    )
     assert sharded.telemetry_digest == serial.telemetry_digest
     assert mergeable_summary(sharded.telemetry_summary)["diagnosis"] == \
         mergeable_summary(serial.telemetry_summary)["diagnosis"]

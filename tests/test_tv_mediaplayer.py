@@ -60,10 +60,12 @@ class TestCommands:
         with pytest.raises(ValueError):
             player.command("rewind_time_itself")
 
-    def test_output_hooks_fire(self):
+    def test_output_topic_fires(self):
         kernel, player = make_player(packet_count=50)
         events = []
-        player.output_hooks.append(lambda name, value: events.append(name))
+        kernel.bus.subscribe(
+            "suo.player.output", lambda _topic, event: events.append(event[0])
+        )
         player.command("play")
         kernel.run(until=5.0)
         assert "state" in events

@@ -228,8 +228,8 @@ class TestOutputs:
         tv.publish_outputs()
         assert len(tv.output_events) == count
 
-    def test_output_hooks_receive_changes(self, tv):
+    def test_output_topic_receives_changes(self, tv):
         seen = []
-        tv.output_hooks.append(seen.append)
+        tv.bus.subscribe("suo.tv.output", lambda _topic, event: seen.append(event))
         tv.press("mute")
         assert any(e.name == "sound" and e.value == 0 for e in seen)
