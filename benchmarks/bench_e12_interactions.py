@@ -12,6 +12,8 @@ historical modeling mistakes and shows the checker catching each, and
 (c) generates the covering test scripts Sect. 4.2 proposes.
 """
 
+import copy
+from dataclasses import replace
 
 from repro.statemachine import Event, ModelChecker, TestGenerator
 from repro.tv import build_tv_model
@@ -88,12 +90,23 @@ def test_e12_shipped_model_is_clean(benchmark):
     assert report.violations == []
 
 
+def _private_tv_model():
+    """A TV model on its own copy of the chart: the shipped chart is
+    shared by every ``build_tv_model()`` machine, so the seeded
+    mistakes below must not edit it."""
+    return copy.deepcopy(build_tv_model(channel_count=CHANNELS))
+
+
 def _buggy_dual_ttx():
     """Modeling mistake 1: forgot that ttx must force single screen."""
-    machine = build_tv_model(channel_count=CHANNELS)
-    for transition in machine.all_transitions():
-        if transition.action is _exit_dual and transition.event == "ttx":
-            transition.action = None  # the forgotten suppression rule
+    machine = _private_tv_model()
+    for source, bucket in machine._transitions.items():
+        machine._transitions[source] = [
+            # the forgotten suppression rule
+            replace(t, action=None)
+            if t.action is _exit_dual and t.event == "ttx" else t
+            for t in bucket
+        ]
     return machine
 
 
@@ -101,7 +114,7 @@ def _buggy_double_transition():
     """Modeling mistake 2: two enabled transitions for the same event."""
     from repro.statemachine import Transition
 
-    machine = build_tv_model(channel_count=CHANNELS)
+    machine = _private_tv_model()
     viewing = machine._find_state("tv_spec_root.on.viewing")
     menu = machine._find_state("tv_spec_root.on.menu")
     machine.add_transition(
@@ -113,7 +126,7 @@ def _buggy_double_transition():
 def _buggy_dead_state():
     """Modeling mistake 3: the EPG overlay is declared but never entered
     (every transition *into* it was forgotten) — dead model parts."""
-    machine = build_tv_model(channel_count=CHANNELS)
+    machine = _private_tv_model()
     epg = machine._find_state("tv_spec_root.on.epg")
     for bucket_key in list(machine._transitions):
         machine._transitions[bucket_key] = [

@@ -18,17 +18,24 @@ Usage::
 The workload is deterministic (fixed seed), so two dumps from the
 same code differ only in timings, never in call counts: a changed
 ``ncalls`` column between two runs is a behavior change, not noise.
-See docs/PERF.md for how to read the dump.
+
+cProfile charges a garbage-collector pause to whichever allocation set
+it off, so the header above the tables also reports the collector on
+its own: collections per generation and their total pause during the
+profiled run (from ``gc.callbacks``), and the GC-tracked objects one
+compiled fleet member adds.  See docs/PERF.md for how to read the dump.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import os
 import pstats
 import sys
+import time
 from dataclasses import replace
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,12 +46,55 @@ if SRC not in sys.path:
 from bench_e14_fleet import FLEET_SEED, FLEET_SPEC  # noqa: E402
 
 from repro.campaign import run_cell_detailed  # noqa: E402
+from repro.scenarios import CompiledScenario  # noqa: E402
 
 TOP = 20
 
 
+class GcPauses:
+    """Collections per generation and their total pause, via ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.pause_s = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.collections[info["generation"]] += 1
+            self.pause_s += time.perf_counter() - self._started
+
+    def __enter__(self) -> "GcPauses":
+        gc.callbacks.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self)
+
+
+def _live_objects() -> int:
+    while gc.collect():  # some garbage takes more than one pass to free
+        pass
+    return len(gc.get_objects())
+
+
+def tracked_objects_per_member(spec) -> float:
+    """GC-tracked objects one compiled member adds: SUO, monitor, workload."""
+    CompiledScenario(replace(spec, tvs=1), FLEET_SEED)  # warm per-process caches
+    before = _live_objects()
+    compiled = CompiledScenario(spec, FLEET_SEED)
+    added = _live_objects() - before
+    del compiled
+    return added / spec.tvs
+
+
 def profile_fleet_tick(members: int, duration: float) -> tuple:
-    """Run one fleet campaign under cProfile; returns (report, stats)."""
+    """Run one fleet campaign under cProfile.
+
+    Returns (report, stats, gc pauses, tracked objects per member).
+    """
     # Fault phases keep their share of the run (t=20 of 60 by default).
     share = duration / FLEET_SPEC.duration
     spec = replace(
@@ -54,20 +104,29 @@ def profile_fleet_tick(members: int, duration: float) -> tuple:
         ),
     )
     profiler = cProfile.Profile()
-    profiler.enable()
-    report = run_cell_detailed(spec, FLEET_SEED).fleet_report
-    profiler.disable()
-    return report, pstats.Stats(profiler)
+    with GcPauses() as pauses:
+        profiler.enable()
+        report = run_cell_detailed(spec, FLEET_SEED).fleet_report
+        profiler.disable()
+    per_member = tracked_objects_per_member(spec)
+    return report, pstats.Stats(profiler), pauses, per_member
 
 
-def render(report, stats: pstats.Stats, members: int, duration: float) -> str:
+def render(
+    report, stats: pstats.Stats, pauses: GcPauses, per_member: float,
+    members: int, duration: float,
+) -> str:
     out = io.StringIO()
+    gen0, gen1, gen2 = pauses.collections
     out.write(
         f"fleet dispatch profile: {members} SUOs, {duration:g}s simulated, "
         f"seed {FLEET_SEED}\n"
         f"dispatched {report.dispatched:,} events "
         f"at {report.events_per_sec:,.0f} events/sec\n"
-        f"trace digest {report.trace_digest}\n\n"
+        f"trace digest {report.trace_digest}\n"
+        f"gc: {gen0}/{gen1}/{gen2} collections (gen 0/1/2), "
+        f"{pauses.pause_s * 1e3:.1f} ms total pause\n"
+        f"gc-tracked objects per member: {per_member:.1f}\n\n"
     )
     stats.stream = out
     stats.sort_stats("cumulative").print_stats(TOP)
@@ -90,8 +149,10 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    report, stats = profile_fleet_tick(args.members, args.duration)
-    dump = render(report, stats, args.members, args.duration)
+    report, stats, pauses, per_member = profile_fleet_tick(
+        args.members, args.duration
+    )
+    dump = render(report, stats, pauses, per_member, args.members, args.duration)
     print(dump, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

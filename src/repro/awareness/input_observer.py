@@ -15,11 +15,10 @@ from .channel import Message, MessageChannel
 
 
 class InputObserver:
-    """Collects observed SUO input events."""
+    """Forwards observed SUO input events to its listeners."""
 
     def __init__(self, name: str = "input-observer") -> None:
         self.name = name
-        self.events: List[Observation] = []
         self.listeners: List[Callable[[Observation], None]] = []
         self.running = False
 
@@ -51,6 +50,5 @@ class InputObserver:
             name=payload["name"],
             value=payload.get("value"),
         )
-        self.events.append(observation)
         for listener in self.listeners:
             listener(observation)

@@ -19,7 +19,6 @@ class OutputObserver:
 
     def __init__(self, name: str = "output-observer") -> None:
         self.name = name
-        self.events: List[Observation] = []
         self.latest: Dict[str, Observation] = {}
         self.listeners: List[Callable[[Observation], None]] = []
         self.running = False
@@ -65,7 +64,6 @@ class OutputObserver:
             name=payload["name"],
             value=payload.get("value"),
         )
-        self.events.append(observation)
         self.latest[observation.name] = observation
         for listener in self.listeners:
             listener(observation)

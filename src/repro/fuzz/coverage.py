@@ -8,7 +8,7 @@ three layers:
 
 ``model:{kind}:{transition}``
     Spec-model transitions the live awareness monitors fired — read off
-    ``Transition.fire_count`` (maintained by ``Machine._fire`` anyway,
+    ``Machine.fire_counts`` (maintained by ``Machine._fire`` anyway,
     so the signal costs the hot path nothing).  This is the same
     transition universe :meth:`repro.statemachine.testgen.TestGenerator.
     transition_names` explores, which makes the test generator the
@@ -47,10 +47,8 @@ def model_coverage(compiled: CompiledScenario) -> Set[str]:
     for member in compiled.fleet.members.values():
         if member.monitor is None:
             continue
-        machine = member.monitor.executor.machine
-        for transition in machine.all_transitions():
-            if transition.fire_count > 0:
-                keys.add(f"model:{member.kind}:{transition.name}")
+        for transition in member.monitor.executor.machine.fire_counts:
+            keys.add(f"model:{member.kind}:{transition.name}")
     return keys
 
 

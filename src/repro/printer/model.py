@@ -13,6 +13,7 @@ looks plausible.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from ..awareness.config import AwarenessConfig
@@ -65,10 +66,15 @@ def _on_job_done(machine: Machine, event) -> None:
 def build_printer_model() -> Machine:
     """Job-lifecycle spec: idle / printing / paused with queue depth and
     throughput expectations (the PR 4 detection-depth observables)."""
+    return _printer_chart().spawn(
+        {"jobs": 0, "last_progress": 0.0, "printing_since": 0.0}
+    )
+
+
+@lru_cache(maxsize=None)
+def _printer_chart() -> Machine:
+    """The printer spec chart (states and transitions), built once."""
     b = MachineBuilder("printer_spec")
-    b.var("jobs", 0)
-    b.var("last_progress", 0.0)
-    b.var("printing_since", 0.0)
     b.state("idle")
     b.state("printing")
     b.state("paused")
@@ -99,7 +105,7 @@ def build_printer_model() -> Machine:
     )
     b.transition("printing", "idle", event="cancel", action=lambda m, e: m.set("jobs", 0))
     b.transition("paused", "idle", event="cancel", action=lambda m, e: m.set("jobs", 0))
-    return b.build()
+    return b.build(initialize=False)
 
 
 def expected_status(machine: Machine) -> str:

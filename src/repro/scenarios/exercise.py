@@ -86,12 +86,12 @@ def _search_step(
     pending = {
         t.name
         for t in committed.all_transitions()
-        if t.fire_count == 0 and t.event in EXERCISE_KEYS
+        if t not in committed.fire_counts and t.event in EXERCISE_KEYS
     }
     if not pending:
         return ()
     scratch.restore(committed.snapshot())
-    transitions = scratch.all_transitions()
+    counts = scratch.fire_counts
     queue = deque([(scratch.snapshot(), now, ())])
     seen = {_signature(scratch, now, gap)}
     nodes = 0
@@ -99,14 +99,14 @@ def _search_step(
         snapshot, time, keys = queue.popleft()
         for key in EXERCISE_KEYS:
             scratch.restore(snapshot)
-            before = [t.fire_count for t in transitions]
+            before = dict(counts)
             scratch.advance(time + gap)
             scratch.inject(key)
             nodes += 1
             fired = {
                 t.name
-                for t, count in zip(transitions, before)
-                if t.fire_count > count
+                for t, count in counts.items()
+                if count > before.get(t, 0)
             }
             if fired & pending:
                 return keys + (key,)
@@ -169,7 +169,7 @@ def uncovered_by_exercise(
     return frozenset(
         t.name
         for t in machine.all_transitions()
-        if t.fire_count == 0 and t.event in EXERCISE_KEYS
+        if t not in machine.fire_counts and t.event in EXERCISE_KEYS
     )
 
 

@@ -48,7 +48,15 @@ class _Timer:
 
 
 class Machine:
-    """A single-region hierarchical timed state machine."""
+    """A single-region hierarchical timed state machine.
+
+    A machine is a *chart* — the ``State`` tree under :attr:`root` and
+    the transition table, both immutable once built — plus its own *run
+    state*: vars, active leaf, time, timers, outputs, event queue,
+    listeners and :attr:`fire_counts`.  :meth:`spawn` makes a fresh
+    machine on an existing chart, so monitors of one product line share
+    a single chart.
+    """
 
     MAX_COMPLETION_CHAIN = 64
 
@@ -65,6 +73,8 @@ class Machine:
         self._output_listeners: List[Callable[[Output], None]] = []
         self._in_step = False
         self.step_count = 0
+        #: How often each transition fired in this machine's run.
+        self.fire_counts: Dict[Transition, int] = {}
         #: Nondeterministic choices observed (state, event, transitions);
         #: the model checker reads this to flag modeling errors.
         self.nondeterminism_log: List[Tuple[str, str, List[str]]] = []
@@ -74,6 +84,17 @@ class Machine:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    def spawn(self, vars: Dict[str, Any]) -> "Machine":
+        """A new machine on this machine's chart, with ``vars`` as its
+        variables, initialized at t=0 (as ``MachineBuilder.build()``
+        does).  It shares :attr:`root` and the transition table; all run
+        state is its own."""
+        machine = Machine(self.name, self.root)
+        machine._transitions = self._transitions
+        machine.vars = dict(vars)
+        machine.initialize()
+        return machine
+
     def add_transition(self, transition: Transition) -> Transition:
         self._transitions.setdefault(transition.source, []).append(transition)
         return transition
@@ -184,7 +205,8 @@ class Machine:
         return None
 
     def _fire(self, transition: Transition, event: Event) -> None:
-        transition.fire_count += 1
+        counts = self.fire_counts
+        counts[transition] = counts.get(transition, 0) + 1
         if transition.internal or transition.target is None:
             if transition.action is not None:
                 transition.action(self, event)

@@ -10,6 +10,7 @@ code from; here we execute it directly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional, TYPE_CHECKING
 
 from .events import Event
@@ -25,38 +26,37 @@ TransitionActionFn = Callable[["Machine", Event], None]
 TIMEOUT_EVENT = "__timeout__"
 
 
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class Transition:
-    """One edge of the statechart."""
+    """One edge of the statechart.
 
-    def __init__(
-        self,
-        source: State,
-        target: Optional[State],
-        event: Optional[str] = None,
-        guard: Optional[GuardFn] = None,
-        action: Optional[TransitionActionFn] = None,
-        after: Optional[float] = None,
-        name: str = "",
-        internal: bool = False,
-    ) -> None:
-        if event is None and after is None and guard is None:
+    Immutable: a chart is shared by every machine spawned on it (see
+    :meth:`Machine.spawn`), so per-run data such as how often an edge
+    fired lives on the machine (:attr:`Machine.fire_counts`).  Equality
+    and hashing are by identity.
+    """
+
+    source: State
+    target: Optional[State]
+    event: Optional[str] = None
+    guard: Optional[GuardFn] = None
+    action: Optional[TransitionActionFn] = None
+    after: Optional[float] = None
+    name: str = ""
+    internal: bool = False
+
+    def __post_init__(self) -> None:
+        if self.event is None and self.after is None and self.guard is None:
             raise ValueError(
                 "transition needs a trigger: an event, a timeout, or a guard "
                 "(guard-only transitions are completion transitions)"
             )
-        if event is not None and after is not None:
+        if self.event is not None and self.after is not None:
             raise ValueError("transition cannot have both an event and a timeout")
-        if target is None and not internal:
+        if self.target is None and not self.internal:
             raise ValueError("external transition needs a target")
-        self.source = source
-        self.target = target
-        self.event = event
-        self.guard = guard
-        self.action = action
-        self.after = after
-        self.internal = internal
-        self.name = name or self._default_name()
-        self.fire_count = 0
+        if not self.name:
+            object.__setattr__(self, "name", self._default_name())
 
     def _default_name(self) -> str:
         trigger = self.event or (f"after({self.after})" if self.after is not None else "[guard]")

@@ -19,6 +19,7 @@ the comparator's window.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Dict, FrozenSet, Optional
 
 from ..statemachine.builder import MachineBuilder
@@ -115,18 +116,28 @@ def build_tv_model(
     initial_channel: int = 1,
     initial_volume: int = 30,
 ) -> Machine:
-    """Construct and initialize the TV specification model."""
-    b = MachineBuilder("tv_spec")
-    b.var("channel", initial_channel)
-    b.var("channel_count", channel_count)
-    b.var("volume", initial_volume)
-    b.var("mute", False)
-    b.var("dual", False)
-    b.var("pip", 0)
-    b.var("lock_enabled", False)
-    b.var("locked", frozenset(locked_channels or frozenset()))
-    b.var("sleep", 0)
+    """Construct and initialize the TV specification model.
 
+    Every model runs on the one shared chart; the arguments only set
+    the new machine's variables.
+    """
+    return _tv_chart().spawn({
+        "channel": initial_channel,
+        "channel_count": channel_count,
+        "volume": initial_volume,
+        "mute": False,
+        "dual": False,
+        "pip": 0,
+        "lock_enabled": False,
+        "locked": frozenset(locked_channels or frozenset()),
+        "sleep": 0,
+    })
+
+
+@lru_cache(maxsize=None)
+def _tv_chart() -> Machine:
+    """The TV spec chart (states and transitions), built once."""
+    b = MachineBuilder("tv_spec")
     b.state("standby")
     b.state("on", initial="viewing")
     for name in (
@@ -262,7 +273,7 @@ def build_tv_model(
     # alert dismissal -------------------------------------------------------
     b.transition("alert", "viewing", event="ok")
 
-    return b.build()
+    return b.build(initialize=False)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ specification model of the player's control behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Generator, List, Optional
 
 from ..sim.kernel import Kernel
@@ -342,12 +343,19 @@ def build_player_model(media_duration: Optional[float] = None) -> Machine:
     reaches the end of the media, the pipeline legitimately goes quiet
     even though the control state still reads ``playing``.
     """
+    return _player_chart().spawn({
+        "position": 0.0,
+        "last_progress": None,
+        "last_gap": 0.0,
+        "pending_since": None,
+        "media_duration": media_duration,
+    })
+
+
+@lru_cache(maxsize=None)
+def _player_chart() -> Machine:
+    """The player spec chart (states and transitions), built once."""
     b = MachineBuilder("player_spec")
-    b.var("position", 0.0)
-    b.var("last_progress", None)
-    b.var("last_gap", 0.0)
-    b.var("pending_since", None)
-    b.var("media_duration", media_duration)
     b.state("stopped")
     b.state("playing")
     b.state("paused")
@@ -363,7 +371,7 @@ def build_player_model(media_duration: Optional[float] = None) -> Machine:
     b.transition(
         "playing", None, event="progress", internal=True, action=_player_mark_progress
     )
-    return b.build()
+    return b.build(initialize=False)
 
 
 def expected_player_state(machine: Machine) -> str:

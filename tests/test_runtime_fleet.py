@@ -8,6 +8,8 @@ Campaigns over a fleet are :class:`ScenarioSpec` cells compiled by
 :class:`CompiledScenario`.
 """
 
+import gc
+
 import pytest
 
 from repro.runtime import MonitorFleet, build_fleet_report
@@ -233,3 +235,24 @@ def test_false_alarm_denominator_counts_monitored_clean_members():
     report = build_fleet_report(fleet, 1.0, 0, 0.0, faulty)
     assert report.monitored_clean == 3  # the three monitored, clean TVs
     assert report.false_alarm_rate == 0.0
+
+
+def test_tv_member_footprint_is_bounded():
+    """Each monitored TV adds a bounded number of GC-tracked objects.
+
+    Members share one spec chart per product line (~237 objects per TV
+    on CPython 3.11 and 3.12); a chart per member adds ~170 more and
+    fails this bound.
+    """
+    def live_objects() -> int:
+        # Earlier tests' garbage can take more than one pass to free.
+        while gc.collect():
+            pass
+        return len(gc.get_objects())
+
+    fleet = MonitorFleet(seed=0)
+    fleet.add_tv()  # builds the shared chart and other per-process caches
+    before = live_objects()
+    fleet.add_tvs(50)
+    per_member = (live_objects() - before) / 50
+    assert per_member <= 300

@@ -280,3 +280,88 @@ class TestDeepCopy:
             assert clone.configuration() == original.configuration()
         assert clone.vars == original.vars
         assert clone.outputs == original.outputs
+
+
+class TestSharedChart:
+    """Spec models of one product line run on one chart; each machine
+    keeps its own run state."""
+
+    def test_tv_models_share_one_chart(self):
+        from repro.tv import build_tv_model
+
+        first, second = build_tv_model(), build_tv_model()
+        assert first is not second
+        assert first.root is second.root
+        transitions = first.all_transitions()
+        assert len(transitions) == len(second.all_transitions()) > 0
+        assert all(
+            a is b for a, b in zip(transitions, second.all_transitions())
+        )
+
+    def test_driving_one_model_leaves_the_other_untouched(self):
+        from repro.tv import build_tv_model
+        from repro.tv.control_model import VOLUME_BAR_TIMEOUT
+
+        driven, idle = build_tv_model(), build_tv_model()
+        before = (
+            idle.configuration(), dict(idle.vars), list(idle._timers),
+            list(idle.outputs), dict(idle.fire_counts),
+        )
+        driven.inject("power", time=1.0)
+        driven.inject("vol_up", time=2.0)
+        assert driven.configuration() == "tv_spec_root.on.volbar"
+        assert driven.next_timeout() == 2.0 + VOLUME_BAR_TIMEOUT
+        driven.advance(2.0 + VOLUME_BAR_TIMEOUT + 0.5)
+        assert driven.configuration() == "tv_spec_root.on.viewing"
+        assert driven.get("volume") == 35
+        assert sum(driven.fire_counts.values()) == 3
+        after = (
+            idle.configuration(), dict(idle.vars), list(idle._timers),
+            list(idle.outputs), dict(idle.fire_counts),
+        )
+        assert after == before
+        assert idle.time == 0.0
+
+    def test_arguments_only_set_vars(self):
+        from repro.tv import build_tv_model
+
+        default, small = build_tv_model(), build_tv_model(channel_count=3)
+        assert small.root is default.root
+        assert small.configuration() == default.configuration()
+        differing = {
+            key for key in default.vars if default.vars[key] != small.vars[key]
+        }
+        assert differing == {"channel_count"}
+        assert small.get("channel_count") == 3
+
+    def test_spawn_initializes_a_fresh_run(self):
+        template = simple_tv()
+        template.inject("power")
+        fresh = template.spawn({"mode": "demo"})
+        assert fresh.root is template.root
+        assert fresh.configuration() == "tv_root.off"
+        assert [o.value for o in fresh.outputs] == ["dark"]
+        assert fresh.vars == {"mode": "demo"}
+        assert fresh.fire_counts == {}
+        assert fresh.inject("power") is True
+        assert template.configuration() == "tv_root.on.viewing"
+
+    def test_fire_counts_are_per_machine(self):
+        machine = simple_tv()
+        machine.inject("power")
+        machine.inject("power")
+        [(transition, count)] = [
+            (t, c) for t, c in machine.fire_counts.items()
+            if t.source.name == "off"
+        ]
+        assert transition.event == "power" and count == 1
+        assert sum(machine.fire_counts.values()) == 2
+
+    def test_transitions_are_immutable(self):
+        from dataclasses import FrozenInstanceError
+
+        from repro.tv import build_tv_model
+
+        transition = build_tv_model().all_transitions()[0]
+        with pytest.raises(FrozenInstanceError):
+            transition.action = None
