@@ -15,8 +15,8 @@ Claims checked:
 * the run is deterministic — same seed, byte-identical trace.
 
 :data:`FLEET_SPEC` is the one definition of the workload: the
-``run_all.py`` fleet probe and ``profile_dispatch.py`` import it, so the
-throughput floor protects the ``run_cell_detailed`` path campaigns use.
+``run_all.py`` fleet probe imports it, so the throughput floor protects
+the ``run_cell_detailed`` path campaigns use.
 """
 
 from dataclasses import replace

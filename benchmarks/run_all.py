@@ -16,57 +16,43 @@ what ``BENCH_runtime.json`` trajectories are compared on).
 
 Every bench_e*.py runs once under ``pytest --benchmark-disable`` (the
 simulations are deterministic, so a single round is a faithful
-measurement) and the file is timed.  Independently of the benches, four
-throughput probes measure the runtime itself:
+measurement) and the file is timed.  Independently of the benches, the
+probes measure the runtime itself:
 
-* ``kernel``     — bare dispatch loop, no SUO (events/sec);
-* ``single_suo`` — one TV driven through the E13 workload (events/sec);
+* ``kernel`` / ``single_suo`` — bare dispatch loop, and one TV through
+  the E13 workload (events/sec);
 * ``fleet``      — the 100-SUO E14 fleet workload through
-  ``run_cell_detailed`` (events/sec), plus a byte-identical-trace
-  determinism check;
+  ``run_cell_detailed`` (events/sec, byte-identical-trace witness);
 * ``scenarios``  — a 1000-SUO streaming-telemetry scenario (the E15
-  workload), recording its trace and telemetry digests;
-* ``sharded``    — the same scenario through the campaign API, serial vs
-  ``DistributedBackend`` over worker processes: records the wall-clock
-  speedup and **fails the run if the serial and sharded telemetry
-  digests diverge** (the CI shard-determinism gate; quick mode shrinks
-  to 2 shards);
-* ``detection``  — the detection/recovery library scenarios
-  (player-seek-stress, printer-burst, recovery-ladder-drill,
-  overnight-soak) serial and 2-shard: **fails the run if any detection
-  rate is zero, a recovery wave records no finite time-to-recover, or
-  the serial and sharded detection stats diverge** (the CI detection
-  gate);
-* ``diagnosis``  — the diagnosis-guided recovery drills
-  (player-decoder-drill, printer-jam-drill, recovery-ladder-drill)
-  serial and 2-shard: **fails the run on zero localization accuracy,
-  a non-finite time-to-recover, or serial-vs-sharded divergence of the
-  diagnosis telemetry** (the CI diagnosis gate);
-* ``fuzz``       — a bounded :mod:`repro.fuzz` campaign run twice
-  (candidates/sec): **fails the run if the two runs' determinism
-  witnesses differ or a grammar-sampled candidate crashes the campaign
-  surface** (the CI fuzz gate; candidates/sec joins the perf floor).
+  workload) with its trace and telemetry digests;
+* ``sharded``    — the same scenario serial vs ``DistributedBackend``
+  over worker processes (quick mode: 300 SUOs on 2 shards);
+* ``detection`` / ``diagnosis`` — the gated library scenarios and
+  drills, each serial and 2-shard;
+* ``fuzz``       — a bounded :mod:`repro.fuzz` campaign run twice;
+* ``resume``     — a checkpointed cell interrupted and resumed;
+* ``service``    — a campaign submitted to the HTTP service.
 
-Exit status is computed by :func:`evaluate_report` over the JSON report:
-any failed bench, a diverged digest, a zeroed detection rate, a
-kernel-throughput regression below the seed baseline, or a fleet/
-scenario probe more than 30% below the recorded ``PERF_FLOOR`` exits
-nonzero (the floor is skipped in ``--quick`` mode on 1-CPU hosts, where
-wall-clock throughput measures the container rather than the runtime).
-Every gate a run skips is listed explicitly — ``skipped: <reason>``
-lines on stdout and a ``skipped_gates`` block in the report — so a CI
-log never reads as a pass for a check that did not run.
+Exit status is computed by :func:`repro.obs.gates.evaluate`: every rule
+the report must meet (each bench passed, digests agree, detection and
+localization are nonzero, TTR is finite, the kernel beats its seed
+baseline, the probes clear ``PERF_FLOOR``) is one row of that table.
+The run prints ``gates: N passed, M skipped, K failed`` and every
+skipped or failed gate with its measured value and threshold, writes
+the records into the report's ``gates`` block, and exits 1 on any
+failure.  A skip says why (the floor, for instance, is skipped in
+``--quick`` mode on 1-CPU hosts, where wall-clock throughput measures
+the container rather than the runtime), so a CI log never reads as a
+pass for a check that did not run.
 
 ``BENCH_runtime.json`` carries the numbers plus the seed-kernel baseline
 measured before the runtime refactor, so future PRs can see the
 trajectory at a glance.  Independently, every run is appended to the
 run-history store (``BENCH_history.sqlite`` by default, ``--history`` to
 point elsewhere, ``--no-history`` to opt out): :mod:`repro.obs.history`
-keeps the full report per run, and :func:`evaluate_report` then also
-applies the :mod:`repro.obs.trend` rules against the prior window — a
-rolling perf floor over the last runs' median and a detection-rate
-drift bound — catching slow slides no single-snapshot gate can see.
-Inspect or trend the store with ``python -m repro.obs``.
+keeps the full report per run, gate records included, and the table's
+trend rows hold this run against the prior window.  Inspect or trend
+the store with ``python -m repro.obs``.
 """
 
 from __future__ import annotations
@@ -74,7 +60,6 @@ from __future__ import annotations
 import argparse
 import glob
 import json
-import math
 import os
 import subprocess
 import sys
@@ -85,25 +70,23 @@ SRC = os.path.join(REPO_ROOT, "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from repro.obs.trend import evaluate_trends, perf_skip_reason  # noqa: E402
+from repro.obs.gates import (  # noqa: E402
+    DETECTION_SCENARIOS,
+    DIAGNOSIS_SCENARIOS,
+    SEED_BASELINE,
+    TREND_WINDOW,
+    evaluate,
+    failures,
+    render,
+)
+from repro.obs.history import RunHistory  # noqa: E402
 
 #: Default run-history store (append-only SQLite; see repro.obs.history).
 DEFAULT_HISTORY = os.path.join(REPO_ROOT, "BENCH_history.sqlite")
 
-#: Prior runs consulted by the trend rules.
-TREND_WINDOW = 5
-
-#: Seed-kernel numbers measured on the same container immediately before
-#: the runtime refactor (PR 1), for trajectory comparison.
-SEED_BASELINE = {
-    "kernel_events_per_sec": 370_000,
-    "single_suo_events_per_sec": 115_000,
-    "note": "seed kernel (pre-EventBus), same host, best of 3",
-}
-
 #: Throughput floor for the fleet and scenario probes, recorded after the
 #: dispatch hot-path overhaul (compiled bus tables, event freelists,
-#: telemetry burst folding).  ``evaluate_report`` fails the run when a
+#: telemetry burst folding).  The ``perf floor`` gates fail the run when a
 #: probe drops more than ``max_regression`` below these full-mode
 #: numbers.  Quick-mode runs on 1-CPU hosts skip the floor, same as the
 #: bench_e16 speedup guard: there the wall-clock numbers measure the
@@ -256,15 +239,6 @@ def probe_sharded(quick: bool = False) -> dict:
     }
 
 
-#: The library scenarios whose detection/recovery rates CI gates on.
-#: ``overnight-soak`` joined in PR 5: the TV's timed volume self-check
-#: must keep sparse sleeper sessions detecting injected volume faults.
-DETECTION_SCENARIOS = (
-    "player-seek-stress", "printer-burst", "recovery-ladder-drill",
-    "overnight-soak",
-)
-
-
 #: Memo of probe campaign cells: (scenario, seed, shards-or-None) ->
 #: CampaignReport.  ``recovery-ladder-drill`` sits in both the detection
 #: and the diagnosis probe; the runs are deterministic, so recomputing
@@ -322,12 +296,6 @@ def probe_detection(seed: int = 7) -> dict:
             ),
         }
     return result
-
-
-#: The drills whose diagnosis-guided recovery CI gates on (PR 5).
-DIAGNOSIS_SCENARIOS = (
-    "player-decoder-drill", "printer-jam-drill", "recovery-ladder-drill",
-)
 
 
 def probe_diagnosis(seed: int = 7) -> dict:
@@ -425,7 +393,7 @@ def probe_fuzz(quick: bool = False) -> dict:
     }
 
 
-def probe_resume(quick: bool = False) -> dict:
+def probe_resume() -> dict:
     """Checkpoint/resume determinism probe (the PR 9 gate).
 
     Interrupt a checkpointed campaign cell for real — a worker-fault
@@ -506,7 +474,7 @@ def probe_resume(quick: bool = False) -> dict:
     return result
 
 
-def probe_service(quick: bool = False) -> dict:
+def probe_service() -> dict:
     """Campaign-service determinism probe (the PR 10 gate).
 
     Boot the real HTTP service on an ephemeral port against a temp
@@ -612,243 +580,6 @@ def run_benches(quick: bool = False) -> dict:
     return results
 
 
-def skipped_gates(report: dict) -> list:
-    """Every gate this report did NOT apply, with its reason.
-
-    Pure over the JSON report (same discipline as
-    :func:`evaluate_report`).  A skipped gate is not a failure, but it
-    must never be silent: the runner prints one ``skipped: <reason>``
-    line per entry and embeds the list in the report, so a green CI log
-    on a small host is readable as "passed N gates, skipped these two"
-    rather than as a full pass.
-    """
-    skipped = []
-    reason = perf_skip_reason(report)
-    if report.get("perf_floor") and reason is not None:
-        skipped.append({
-            "gate": "perf-floor",
-            "reason": f"fleet/scenarios throughput floor not applied: {reason}",
-        })
-    sharded = report.get("sharded", {})
-    cpus = sharded.get("cpu_count") or 0
-    shards = sharded.get("shards") or 0
-    if shards and cpus < shards:
-        skipped.append({
-            "gate": "bench_e16-speedup",
-            "reason": (
-                f"sharded wall-clock speedup >= 2x not asserted: "
-                f"{cpus} CPUs cannot physically deliver it at "
-                f"{shards} shards (bench_e16 applies the same guard)"
-            ),
-        })
-    return skipped
-
-
-def evaluate_report(report: dict, priors: list = None) -> list:
-    """Every gate the given run_all report violates (empty = pass).
-
-    Pure over the JSON report, so CI steps and unit tests apply exactly
-    the rules the smoke run enforces — and so ANY failed bench (not just
-    the sharded probe) makes the run exit nonzero.
-
-    ``priors`` (newest-first run_all reports from the history store)
-    additionally arms the :mod:`repro.obs.trend` rules: the rolling
-    perf floor and the detection-rate drift bound.
-    """
-    failures = []
-    for name, bench in sorted(report.get("benches", {}).items()):
-        if not bench.get("ok"):
-            failures.append(f"bench {name} failed")
-    sharded = report.get("sharded", {})
-    if sharded and not sharded.get("digests_match"):
-        failures.append(
-            "serial and sharded telemetry digests diverged "
-            "(shard determinism gate)"
-        )
-    detection = report.get("detection", {})
-    for name in DETECTION_SCENARIOS:
-        # A drill silently dropped from the probe must not read as a
-        # pass: the loop below only sees cells that are present.
-        if name not in detection:
-            failures.append(f"{name} missing from the detection probe")
-    for name, cell in sorted(detection.items()):
-        if cell.get("faulty", 0) == 0:
-            failures.append(f"{name}: no faults were injected")
-        elif cell.get("detection_rate", 0.0) <= 0.0:
-            failures.append(f"{name}: detection rate is zero")
-        if cell.get("false_alarms", 0):
-            failures.append(f"{name}: false alarms on clean members")
-        if not cell.get("digests_match"):
-            failures.append(
-                f"{name}: serial vs sharded telemetry digests diverged"
-            )
-        if not cell.get("detection_invariant"):
-            failures.append(
-                f"{name}: serial vs sharded detection stats diverged"
-            )
-    drill = detection.get("recovery-ladder-drill")
-    if drill is not None:
-        if drill.get("recovered", 0) <= 0:
-            failures.append("recovery-ladder-drill: no completed recoveries")
-        waves = drill.get("ttr_waves", {})
-        if not waves:
-            failures.append(
-                "recovery-ladder-drill: no per-wave time-to-recover recorded"
-            )
-        for wave, entry in sorted(waves.items()):
-            values = [
-                entry.get("min", 0.0), entry.get("max", 0.0),
-                entry.get("mean", 0.0),
-            ]
-            if entry.get("count", 0) <= 0 or not all(
-                isinstance(v, (int, float)) and math.isfinite(v) for v in values
-            ):
-                failures.append(
-                    f"recovery-ladder-drill wave {wave}: "
-                    "time-to-recover not finite"
-                )
-    diagnosis = report.get("diagnosis", {})
-    for name in DIAGNOSIS_SCENARIOS:
-        if name not in diagnosis:
-            failures.append(f"{name} missing from the diagnosis probe")
-    for name, cell in sorted(diagnosis.items()):
-        if cell.get("episodes_ranked", 0) <= 0:
-            failures.append(f"{name}: no localization episodes recorded")
-        elif cell.get("localization_accuracy", 0.0) <= 0.0:
-            failures.append(f"{name}: localization accuracy is zero")
-        if cell.get("recovered", 0) <= 0:
-            failures.append(f"{name}: no completed recoveries")
-        if not cell.get("digests_match"):
-            failures.append(
-                f"{name}: serial vs sharded telemetry digests diverged"
-            )
-        if not cell.get("diagnosis_invariant"):
-            failures.append(
-                f"{name}: serial vs sharded diagnosis stats diverged"
-            )
-        for mode, stats in sorted(cell.get("ttr", {}).items()):
-            if stats.get("count", 0) <= 0:
-                continue
-            values = [stats.get("min", 0.0), stats.get("max", 0.0)]
-            if not all(
-                isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0
-                for v in values
-            ):
-                failures.append(
-                    f"{name}: {mode} time-to-recover not finite"
-                )
-    fuzz = report.get("fuzz")
-    if fuzz is None:
-        failures.append("fuzz probe missing from the report")
-    else:
-        if fuzz.get("evaluated", 0) <= 0:
-            failures.append("fuzz probe evaluated no candidates")
-        if not fuzz.get("deterministic"):
-            failures.append(
-                "two identical fuzz runs produced different witnesses "
-                "(fuzz determinism gate)"
-            )
-        for crash in fuzz.get("crash_findings", []):
-            failures.append(
-                "fuzz probe hit a crash verdict on a grammar-sampled "
-                f"candidate: {crash.get('detail', '?')}"
-            )
-    resume = report.get("resume")
-    if resume is None:
-        failures.append("resume probe missing from the report")
-    else:
-        if not resume.get("interrupt_observed"):
-            failures.append(
-                "resume probe never observed its injected interruption "
-                "(the gate proved nothing)"
-            )
-        if resume.get("shards_durable_at_interrupt", 0) <= 0:
-            failures.append(
-                "resume probe checkpointed no shards before the "
-                "interruption"
-            )
-        if resume.get("lost_shards", 1) > 0:
-            failures.append(
-                f"resume left {resume.get('lost_shards')} shard(s) "
-                "unexecuted (checkpoint resume gate)"
-            )
-        if not resume.get("telemetry_match"):
-            failures.append(
-                "resumed campaign telemetry digest diverged from the "
-                "uninterrupted run (checkpoint resume gate)"
-            )
-        if not resume.get("span_match"):
-            failures.append(
-                "resumed campaign span digest diverged from the "
-                "uninterrupted run (checkpoint resume gate)"
-            )
-    service = report.get("service")
-    if service is None:
-        failures.append("service probe missing from the report")
-    else:
-        if service.get("state") != "complete":
-            failures.append(
-                "service probe job did not complete "
-                f"(state: {service.get('state')})"
-            )
-        if not service.get("stream_ordered"):
-            failures.append(
-                "service stream was not job-first/end-last ordered"
-            )
-        if service.get("telemetry_records", 0) <= 0:
-            failures.append(
-                "service stream carried no live telemetry records"
-            )
-        if not service.get("telemetry_match"):
-            failures.append(
-                "campaign submitted over HTTP produced a telemetry digest "
-                "diverging from the serial run (service determinism gate)"
-            )
-        if not service.get("span_match"):
-            failures.append(
-                "campaign submitted over HTTP produced a span digest "
-                "diverging from the serial run (service determinism gate)"
-            )
-        if not service.get("history_recorded"):
-            failures.append(
-                "service did not append the finished campaign to the "
-                "run-history store"
-            )
-    baseline = report.get("seed_baseline", SEED_BASELINE).get(
-        "kernel_events_per_sec", 0
-    )
-    if round(report.get("kernel_events_per_sec", 0)) < baseline:
-        failures.append("kernel throughput regressed below the seed baseline")
-    floor = report.get("perf_floor", {})
-    if floor and perf_skip_reason(report) is None:
-        max_regression = floor.get("max_regression", 0.30)
-        allowed = 1.0 - max_regression
-        for probe, key, metric, unit in (
-            ("fleet", "fleet_events_per_sec", "events_per_sec", "events/sec"),
-            ("scenarios", "scenarios_events_per_sec", "events_per_sec",
-             "events/sec"),
-            ("fuzz", "fuzz_candidates_per_sec", "candidates_per_sec",
-             "candidates/sec"),
-        ):
-            if probe == "fuzz" and report.get("mode") == "quick":
-                # The fuzz floor was recorded at the full-mode candidate
-                # budget; quick mode runs a different (smaller) workload.
-                continue
-            recorded = floor.get(key, 0)
-            measured = report.get(probe, {}).get(metric, 0)
-            if recorded and measured < recorded * allowed:
-                failures.append(
-                    f"{probe} throughput {measured:,} {unit} is more "
-                    f"than {max_regression:.0%} below the recorded floor "
-                    f"of {recorded:,} (perf floor gate)"
-                )
-    if priors:
-        failures.extend(
-            evaluate_trends(report, priors, window=TREND_WINDOW)
-        )
-    return failures
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -938,7 +669,7 @@ def main() -> int:
         f"deterministic={fuzz['deterministic']}"
     )
     print("probing checkpoint interrupt/resume determinism ...", flush=True)
-    resume = probe_resume(quick=args.quick)
+    resume = probe_resume()
     print(
         f"  resume: {resume['scenario']} x{resume['shards']} shards, "
         f"killed shard {resume['killed_shard']}, "
@@ -948,7 +679,7 @@ def main() -> int:
         f"lost_shards={resume['lost_shards']}"
     )
     print("probing the campaign service over HTTP ...", flush=True)
-    service = probe_service(quick=args.quick)
+    service = probe_service()
     print(
         f"  service: {service['scenario']} seed {service['seed']} -> "
         f"{service['state']}, {service['telemetry_records']} telemetry "
@@ -985,21 +716,21 @@ def main() -> int:
         "perf_floor": PERF_FLOOR,
         "benches": benches,
     }
-    report["skipped_gates"] = skipped_gates(report)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
     # The trend window is the history as it stood BEFORE this run; the
     # run itself is recorded unconditionally (failed runs are history
     # too — a later fix should show up as recovery, not as a gap).
     priors = []
     if not args.no_history:
-        from repro.obs.history import RunHistory
-
         with RunHistory(args.history) as history:
             priors = history.run_reports(limit=TREND_WINDOW)
+    records = evaluate(report, priors)
+    report["gates"] = [record._asdict() for record in records]
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {args.out}")
+    if not args.no_history:
+        with RunHistory(args.history) as history:
             run_id = history.record_run(report, label=args.label)
         print(
             f"recorded run {run_id} in {args.history} "
@@ -1007,12 +738,9 @@ def main() -> int:
             "in the trend window)"
         )
 
-    for entry in report["skipped_gates"]:
-        print(f"skipped: {entry['gate']}: {entry['reason']}")
-    failures = evaluate_report(report, priors=priors)
-    for failure in failures:
-        print(f"FAILED: {failure}")
-    return 1 if failures else 0
+    for line in render(records):
+        print(line)
+    return 1 if failures(records) else 0
 
 
 if __name__ == "__main__":

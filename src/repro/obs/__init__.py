@@ -22,9 +22,11 @@ snapshot.  ``repro.obs`` adds the missing layer in three pieces:
   bench mode, digests, and span-derived per-episode rows — the
   queryable cross-PR record the ROADMAP's campaign-as-a-service item
   asks for.
-* :mod:`repro.obs.trend`   — trend rules over that history (N-run
-  rolling perf floor, detection-rate drift) plus run comparison, shared
-  by ``evaluate_report`` and the CLI.
+* :mod:`repro.obs.gates`   — the gate table every run_all report is
+  held to, its trend rows over that history (N-run rolling perf floor,
+  detection-rate drift) included, and the one evaluator that
+  ``run_all``, CI, the CLI and the service share;
+  :mod:`repro.obs.trend` compares two runs.
 
 ``python -m repro.obs`` exposes ``record`` / ``query`` / ``trend`` /
 ``compare`` / ``export-trace`` so CI and humans can diff two revisions'
@@ -40,7 +42,8 @@ from .spans import (
     span_forest_digest,
     text_timeline,
 )
-from .trend import compare_bench_runs, evaluate_trends
+from .gates import evaluate
+from .trend import compare_bench_runs
 
 __all__ = [
     "RunHistory",
@@ -48,7 +51,7 @@ __all__ = [
     "chrome_trace",
     "compare_bench_runs",
     "current_git_rev",
-    "evaluate_trends",
+    "evaluate",
     "merge_span_blocks",
     "span_forest_digest",
     "text_timeline",

@@ -29,7 +29,15 @@ from typing import Any, Dict, List, Optional
 
 from .history import RunHistory
 from .spans import chrome_trace, text_timeline
-from .trend import compare_bench_runs, evaluate_trends
+from .gates import (
+    MAX_DRIFT,
+    TREND_MAX_REGRESSION,
+    TREND_WINDOW,
+    evaluate,
+    failures,
+    render,
+)
+from .trend import compare_bench_runs
 
 DEFAULT_DB = "BENCH_history.sqlite"
 
@@ -109,7 +117,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_trend(args: argparse.Namespace) -> int:
     with RunHistory(args.db) as history:
-        reports = history.run_reports(limit=args.window + 1)
+        reports = history.run_reports(limit=TREND_WINDOW + 1)
     if len(reports) < 2:
         print(
             f"insufficient history for a trend ({len(reports)} run(s) "
@@ -117,24 +125,18 @@ def _cmd_trend(args: argparse.Namespace) -> int:
         )
         return 0
     current, priors = reports[0], reports[1:]
-    failures = evaluate_trends(
-        current,
-        priors,
-        window=args.window,
-        max_regression=args.max_regression,
-        max_drift=args.max_drift,
-    )
+    records = [record for record in evaluate(current, priors) if record.trend]
     print(
         f"trend over {len(priors) + 1} runs "
-        f"(window {args.window}, regression {args.max_regression:.0%}, "
-        f"drift {args.max_drift}):"
+        f"(window {TREND_WINDOW}, regression {TREND_MAX_REGRESSION:.0%}, "
+        f"drift {MAX_DRIFT}):"
     )
-    if not failures:
-        print("  ok — no perf or detection drift")
-        return 0
-    for failure in failures:
-        print(f"  FAILED: {failure}")
-    return 1
+    for line in render(records):
+        print(f"  {line}")
+    if failures(records):
+        return 1
+    print("  ok — no perf or detection drift")
+    return 0
 
 
 def _load_compare_pair(args: argparse.Namespace):
@@ -243,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trend", help="apply trend rules to the newest recorded run"
     )
     add_db(trend)
-    trend.add_argument("--window", type=int, default=5)
-    trend.add_argument("--max-regression", type=float, default=0.30)
-    trend.add_argument("--max-drift", type=float, default=0.25)
     trend.set_defaults(func=_cmd_trend)
 
     compare = commands.add_parser(

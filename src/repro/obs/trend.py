@@ -1,117 +1,16 @@
-"""Trend rules over the run history, and run-to-run comparison.
+"""Run-to-run comparison of ``benchmarks/run_all.py`` reports.
 
-The single-snapshot gates in ``benchmarks/run_all.py`` catch a
-regression against one recorded floor; these rules catch the slower
-failure modes a snapshot cannot see — a perf slide spread over several
-PRs, or detection quietly decaying while every individual run still
-clears its absolute gate.  Both functions are **pure over report
-dicts** (the same discipline as ``evaluate_report``), so unit tests and
-CI steps apply exactly the rules the runner enforces; the history
-store's job is only to supply the prior-report window.
-
-Rules (:func:`evaluate_trends`):
-
-* **rolling perf floor** — the fleet and scenarios probes must stay
-  within ``max_regression`` (default 30%) of the *median* of the prior
-  window.  The median, not the mean: one noisy CI run must not drag the
-  floor down with it.  Honors the same skip as the absolute floor gate
-  (quick mode on a 1-CPU host measures the container, not the runtime)
-  — and reports the skip rather than staying silent.
-* **detection-rate drift** — each gated scenario's detection rate must
-  stay within ``max_drift`` (default 0.25) of the prior-window median.
-
-Fewer than ``min_history`` prior runs yields no failures (a fresh
-checkout or a just-created CI cache must not fail its first run).
+:func:`compare_bench_runs` is the ``python -m repro.obs compare``
+view: events/s, detection rates, diagnosis accuracy and per-mode TTR of
+two reports side by side.  The trend *rules* that gate a run against
+its prior window are rows of the gate table in :mod:`repro.obs.gates`.
 """
 
 from __future__ import annotations
 
-from statistics import median
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-#: Prior runs required before trend rules engage.
-MIN_HISTORY = 1
-
-#: The run_all probes whose events/sec the rolling floor tracks.
-PERF_PROBES = ("fleet", "scenarios")
-
-
-def _probe_eps(report: Dict[str, Any], probe: str) -> float:
-    return float(report.get(probe, {}).get("events_per_sec", 0) or 0)
-
-
-def _detection_rates(report: Dict[str, Any]) -> Dict[str, float]:
-    return {
-        name: float(cell.get("detection_rate", 0.0))
-        for name, cell in report.get("detection", {}).items()
-        if isinstance(cell, dict) and "detection_rate" in cell
-    }
-
-
-def perf_skip_reason(report: Dict[str, Any]) -> Optional[str]:
-    """Why wall-clock perf rules do not apply to this report (or None).
-
-    Same rule as the absolute PERF_FLOOR gate: quick mode on a 1-CPU
-    host measures the container, not the runtime."""
-    cpu_count = report.get("sharded", {}).get("cpu_count") or 0
-    if report.get("mode") == "quick" and cpu_count <= 1:
-        return (
-            f"quick mode on {cpu_count} CPU measures the container, "
-            "not the runtime"
-        )
-    return None
-
-
-def evaluate_trends(
-    current: Dict[str, Any],
-    priors: List[Dict[str, Any]],
-    window: int = 5,
-    max_regression: float = 0.30,
-    max_drift: float = 0.25,
-    min_history: int = MIN_HISTORY,
-) -> List[str]:
-    """Every trend rule ``current`` violates against its prior window.
-
-    ``priors`` is newest-first (as :meth:`RunHistory.run_reports`
-    returns them); only the first ``window`` are consulted."""
-    failures: List[str] = []
-    priors = priors[:window]
-    if len(priors) < min_history:
-        return failures
-    if perf_skip_reason(current) is None:
-        for probe in PERF_PROBES:
-            history = [
-                _probe_eps(prior, probe) for prior in priors
-                if _probe_eps(prior, probe) > 0
-                and perf_skip_reason(prior) is None
-            ]
-            measured = _probe_eps(current, probe)
-            if not history or measured <= 0:
-                continue
-            floor = median(history) * (1.0 - max_regression)
-            if measured < floor:
-                failures.append(
-                    f"{probe} throughput {measured:,.0f} events/sec is more "
-                    f"than {max_regression:.0%} below the {len(history)}-run "
-                    f"rolling median of {median(history):,.0f} "
-                    "(trend perf floor)"
-                )
-    current_rates = _detection_rates(current)
-    for name in sorted(current_rates):
-        history = [
-            _detection_rates(prior)[name] for prior in priors
-            if name in _detection_rates(prior)
-        ]
-        if not history:
-            continue
-        baseline = median(history)
-        if current_rates[name] < baseline - max_drift:
-            failures.append(
-                f"{name} detection rate {current_rates[name]:.4f} drifted "
-                f"more than {max_drift} below the {len(history)}-run "
-                f"rolling median of {baseline:.4f} (detection drift)"
-            )
-    return failures
+from .gates import _detection_rates, _probe_eps
 
 
 # ----------------------------------------------------------------------

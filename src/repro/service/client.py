@@ -114,18 +114,8 @@ class ServiceClient:
             query["scenario"] = scenario
         return self._request("GET", "/history", query=query)["campaigns"]
 
-    def trend(
-        self,
-        window: int = 5,
-        max_regression: float = 0.30,
-        max_drift: float = 0.25,
-    ) -> Dict[str, Any]:
-        query = {
-            "window": window,
-            "max_regression": max_regression,
-            "max_drift": max_drift,
-        }
-        return self._request("GET", "/trend", query=query)
+    def trend(self) -> Dict[str, Any]:
+        return self._request("GET", "/trend")
 
     # -- streaming ------------------------------------------------------
     def stream(self, job_id: str, heartbeats: bool = False) -> Iterator[Dict[str, Any]]:

@@ -34,7 +34,7 @@ from typing import Any, Dict, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from ..obs.history import RunHistory
-from ..obs.trend import evaluate_trends
+from ..obs.gates import TREND_WINDOW, evaluate, failures
 from .jobs import JobManager, SubmissionError, encode_record
 
 __all__ = ["CampaignServer", "serve"]
@@ -280,41 +280,18 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
 
     # -- trend ----------------------------------------------------------
     def _trend(self) -> None:
-        query = self._query()
-        window = int(query.get("window", "5"))
-        max_regression = float(query.get("max_regression", "0.30"))
-        max_drift = float(query.get("max_drift", "0.25"))
         with RunHistory(self.server.db_path) as history:
-            reports = history.run_reports(limit=window + 1)
-        if len(reports) < 2:
-            self._send_json(
-                200,
-                {
-                    "ok": True,
-                    "runs": len(reports),
-                    "window": window,
-                    "failures": [],
-                    "note": "insufficient history for a trend (need 2+ runs)",
-                },
-            )
-            return
-        current, priors = reports[0], reports[1:]
-        failures = evaluate_trends(
-            current,
-            priors,
-            window=window,
-            max_regression=max_regression,
-            max_drift=max_drift,
-        )
+            reports = history.run_reports(limit=TREND_WINDOW + 1)
+        records = evaluate(reports[0], reports[1:]) if reports else []
+        records = [record for record in records if record.trend]
         self._send_json(
             200,
             {
-                "ok": not failures,
-                "runs": len(priors) + 1,
-                "window": window,
-                "max_regression": max_regression,
-                "max_drift": max_drift,
-                "failures": failures,
+                "ok": not failures(records),
+                "runs": len(reports),
+                "window": TREND_WINDOW,
+                "failures": failures(records),
+                "gates": [record._asdict() for record in records],
             },
         )
 

@@ -1,6 +1,6 @@
-"""Run-history store and trend rules.
+"""Run-history store and the gate table's trend rows.
 
-The store is append-only SQLite; the trend rules are pure over report
+The store is append-only SQLite; the trend rows are pure over report
 dicts.  The negative tests here are the PR 7 acceptance criteria: an
 injected 2x slowdown and an injected detection-rate drop must both be
 flagged against a healthy prior window, while a fresh store (no
@@ -12,12 +12,27 @@ from dataclasses import replace
 
 from repro.campaign import run_cell
 from repro.obs.history import RunHistory, current_git_rev
-from repro.obs.trend import (
-    compare_bench_runs,
-    evaluate_trends,
-    perf_skip_reason,
-)
+from repro.obs.gates import TREND_WINDOW, evaluate
+from repro.obs.trend import compare_bench_runs
 from repro.scenarios import get_scenario
+
+
+def trend_failures(current, priors):
+    """The trend rows' failure messages for ``current`` after ``priors``."""
+    return [
+        record.message for record in evaluate(current, priors)
+        if record.trend and record.status == "fail"
+    ]
+
+
+def trend_perf_skip(report):
+    """Why the trend perf floor skips ``report`` against a healthy
+    window (None when it applies)."""
+    record = next(
+        r for r in evaluate(report, healthy_priors())
+        if r.gate == "trend floor fleet"
+    )
+    return record.message if record.status == "skip" else None
 
 
 def bench_report(fleet_eps=150_000, scenarios_eps=140_000, ladder_rate=1.0,
@@ -122,63 +137,66 @@ def healthy_priors(n=3):
 
 
 def test_healthy_run_raises_no_trend_flags():
-    assert evaluate_trends(bench_report(), healthy_priors()) == []
+    assert trend_failures(bench_report(), healthy_priors()) == []
 
 
 def test_injected_2x_slowdown_is_flagged():
     current = bench_report(fleet_eps=75_000)  # half the prior median
-    failures = evaluate_trends(current, healthy_priors())
+    failures = trend_failures(current, healthy_priors())
     assert any("fleet" in f and "trend perf floor" in f for f in failures)
 
     current = bench_report(scenarios_eps=60_000)
-    failures = evaluate_trends(current, healthy_priors())
+    failures = trend_failures(current, healthy_priors())
     assert any("scenarios" in f and "trend perf floor" in f for f in failures)
 
 
 def test_injected_detection_drop_is_flagged():
     current = bench_report(ladder_rate=0.5)  # 1.0 -> 0.5 > 0.25 drift
-    failures = evaluate_trends(current, healthy_priors())
+    failures = trend_failures(current, healthy_priors())
     assert any(
         "recovery-ladder-drill" in f and "detection drift" in f
         for f in failures
     )
     # drift within the bound passes
-    assert evaluate_trends(bench_report(ladder_rate=0.8),
-                           healthy_priors()) == []
+    assert trend_failures(bench_report(ladder_rate=0.8),
+                          healthy_priors()) == []
 
 
 def test_no_history_means_no_flags():
-    assert evaluate_trends(bench_report(fleet_eps=10), []) == []
+    assert trend_failures(bench_report(fleet_eps=10), []) == []
 
 
 def test_median_resists_one_noisy_prior():
     priors = healthy_priors(4) + [bench_report(fleet_eps=1_000_000)]
-    assert evaluate_trends(bench_report(), priors) == []
+    assert trend_failures(bench_report(), priors) == []
 
 
 def test_window_limits_how_far_back_the_rules_look():
     # ancient fast runs beyond the window must not fail today's run
-    priors = healthy_priors(2) + [bench_report(fleet_eps=10_000_000)] * 5
-    assert evaluate_trends(bench_report(), priors, window=2) == []
+    fast = [bench_report(fleet_eps=10_000_000)] * 5
+    priors = healthy_priors(TREND_WINDOW) + fast
+    assert trend_failures(bench_report(), priors) == []
+    # ... though inside the window the same runs would
+    assert trend_failures(bench_report(), healthy_priors(2) + fast) != []
 
 
 def test_quick_mode_on_one_cpu_skips_perf_but_not_drift():
     current = bench_report(fleet_eps=10_000, ladder_rate=0.5,
                            mode="quick", cpu_count=1)
-    assert perf_skip_reason(current) is not None
-    failures = evaluate_trends(current, healthy_priors())
+    assert trend_perf_skip(current) is not None
+    failures = trend_failures(current, healthy_priors())
     assert not any("trend perf floor" in f for f in failures)
     assert any("detection drift" in f for f in failures)
     # and skipped priors are excluded from the rolling median
     priors = [bench_report(fleet_eps=10_000, mode="quick", cpu_count=1)] * 3
-    assert evaluate_trends(bench_report(), priors) == []
+    assert trend_failures(bench_report(), priors) == []
 
 
 def test_perf_skip_reason_rules():
-    assert perf_skip_reason(bench_report()) is None
-    assert perf_skip_reason(bench_report(mode="quick", cpu_count=4)) is None
-    assert perf_skip_reason(bench_report(mode="full", cpu_count=1)) is None
-    assert perf_skip_reason(
+    assert trend_perf_skip(bench_report()) is None
+    assert trend_perf_skip(bench_report(mode="quick", cpu_count=4)) is None
+    assert trend_perf_skip(bench_report(mode="full", cpu_count=1)) is None
+    assert trend_perf_skip(
         bench_report(mode="quick", cpu_count=1)
     ) is not None
 

@@ -268,6 +268,13 @@ class TestEndpoints:
         trend = service.trend()
         assert trend["ok"] is True  # empty runs table: nothing to gate
 
+    def test_trend_ignores_query_parameters(self, service):
+        # /trend has no knobs; a stray or malformed query must not kill
+        # the handler (it used to parse ?window= and die on "abc").
+        trend = service._request("GET", "/trend", query={"window": "abc"})
+        assert trend["ok"] is True
+        assert trend["window"] == 5
+
     def test_jobs_listing(self, service):
         job = service.submit(["zapping-storm"], seeds=[9])
         service.wait(job["job_id"])
