@@ -79,10 +79,10 @@ from repro.obs.gates import (  # noqa: E402
     failures,
     render,
 )
-from repro.obs.history import RunHistory  # noqa: E402
+from repro.obs.history import DEFAULT_DB, RunHistory  # noqa: E402
 
 #: Default run-history store (append-only SQLite; see repro.obs.history).
-DEFAULT_HISTORY = os.path.join(REPO_ROOT, "BENCH_history.sqlite")
+DEFAULT_HISTORY = os.path.join(REPO_ROOT, DEFAULT_DB)
 
 #: Throughput floor for the fleet and scenario probes, recorded after the
 #: dispatch hot-path overhaul (compiled bus tables, event freelists,
@@ -187,7 +187,6 @@ def probe_scenarios(members: int = 1000, duration: float = 20.0) -> dict:
         "sim_duration": duration,
         "dispatched": report.dispatched,
         "events_per_sec": round(fleet_report.events_per_sec),
-        "streaming": not fleet_report.retained_trace,
         "suo_events": report.telemetry_summary["events_total"],
         "telemetry_digest": report.telemetry_digest,
         "trace_digest": report.shard_trace_digests[0],
@@ -691,7 +690,7 @@ def main() -> int:
     scenarios = probe_scenarios()
     print(
         f"  scenario: {scenarios['events_per_sec']:,} events/sec over "
-        f"{scenarios['members']} SUOs, streaming={scenarios['streaming']}"
+        f"{scenarios['members']} SUOs"
     )
 
     benches = {}

@@ -87,7 +87,8 @@ class ShardResult:
     """One executed shard: the durable, mergeable unit of a campaign.
 
     ``payload`` is the JSON-safe dict :func:`execute_plan` produces
-    (mergeable summary, span block, digests, detection accounting);
+    (:meth:`FleetReport.to_json`: mergeable summary, span block,
+    digests, detection accounting);
     ``attempt`` and ``worker`` record how the shard got executed — the
     fault-tolerance provenance a checkpoint row keeps.  The payload is
     exactly what :func:`~repro.campaign.report.merge_shard_results`
@@ -118,49 +119,15 @@ class ShardResult:
         )
 
 
-def _shard_payload(
-    compiled: CompiledScenario, fleet_report: FleetReport
-) -> Dict[str, Any]:
-    """Everything a worker sends home: JSON-friendly, mergeable."""
-    fleet = compiled.fleet
-    return {
-        "shard_id": compiled.plan.shard_id,
-        "members": len(fleet),
-        "duration": fleet_report.duration,
-        "dispatched": fleet_report.dispatched,
-        "wall_seconds": fleet_report.wall_seconds,
-        "trace_digest": fleet.trace_digest(),
-        "trace_records": fleet.record_count(),
-        # per_suo + samples make the summary mergeable (see telemetry).
-        "summary": fleet.telemetry.summary(per_suo=True, samples=True),
-        "faulty": fleet_report.faulty,
-        "detected": fleet_report.detected,
-        "false_alarms": fleet_report.false_alarms,
-        "monitored_clean": fleet_report.monitored_clean or 0,
-        "errors_by_suo": fleet_report.errors_by_suo,
-        "profile_mix": {
-            name: len(group)
-            for name, group in compiled.profile_groups.items()
-        },
-        # Causal-span block (None unless the spec set record_spans):
-        # counters + digest triples merge exactly; see merge_span_blocks.
-        "spans": (
-            compiled.span_recorder.mergeable()
-            if compiled.span_recorder is not None else None
-        ),
-    }
-
-
 def execute_plan(plan: ScenarioPlan) -> Dict[str, Any]:
-    """Compile and run one plan (a full cell or one shard of it).
+    """Compile and run one plan (a full cell or one shard of it) and
+    return its payload, :meth:`FleetReport.to_json`.
 
     The executor primitive every backend bottoms out in: worker
     processes and socket workers on another host run the byte-identical
     code path.
     """
-    compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
-    fleet_report = compiled.run()
-    return _shard_payload(compiled, fleet_report)
+    return CompiledScenario(plan.spec, plan.seed, plan=plan).run().to_json()
 
 
 def execute_plan_segmented(
@@ -178,21 +145,21 @@ def execute_plan_segmented(
     snapshots for its NDJSON stream and checks for cancellation.
     """
     compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
-    fleet_report = compiled.run_segmented(segments, on_segment=on_segment)
-    return _shard_payload(compiled, fleet_report)
+    return compiled.run_segmented(segments, on_segment=on_segment).to_json()
 
 
 def execute_plan_detailed(
     plan: ScenarioPlan,
 ) -> Tuple[Dict[str, Any], FleetReport, CompiledScenario]:
-    """:func:`execute_plan` plus the live compiled objects.
+    """:func:`execute_plan` plus the :class:`FleetReport` it renders and
+    the live compiled objects.
 
     Only meaningful in-process; this is what the detailed serial path
     (:func:`repro.campaign.core.run_cell_detailed`) uses so callers can
     still inspect members, span recorders, and fleet internals."""
     compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
-    fleet_report = compiled.run()
-    return _shard_payload(compiled, fleet_report), fleet_report, compiled
+    report = compiled.run()
+    return report.to_json(), report, compiled
 
 
 #: Callback invoked with each completed :class:`ShardResult` as it

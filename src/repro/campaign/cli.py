@@ -26,6 +26,7 @@ import json
 import sys
 from typing import List, Optional
 
+from ..obs.history import DEFAULT_DB
 from .backends import SerialBackend
 from .checkpoint import CampaignCheckpoint, new_campaign_id, resume_campaign
 from .core import Campaign
@@ -37,8 +38,6 @@ from .distributed import (
     SocketWorkerExecutor,
 )
 from .report import CampaignReport, format_campaign_table
-
-DEFAULT_DB = "BENCH_history.sqlite"
 
 BACKENDS = ("serial", "inline", "distributed", "socket")
 

@@ -320,26 +320,31 @@ class ShardWorkerServer:
         line = stream.readline()
         if not line:
             return 0
-        request = json.loads(line.decode("utf-8"))
-        plan = ScenarioPlan.from_json(request["plan"])
-        attempt = int(request.get("attempt", 0))
-        if (
-            self.fault_injector is not None
-            and self.fault_injector.should_kill(plan.shard_id, attempt)
-        ):
-            # Drop the connection unanswered: to the client this is
-            # indistinguishable from the worker host dying mid-shard.
-            return 1
+        # A malformed request or a failing shard is answered with an
+        # error; neither may stop the server.
         try:
+            request = json.loads(line.decode("utf-8"))
+            plan = ScenarioPlan.from_json(request["plan"])
+            attempt = int(request.get("attempt", 0))
+            if (
+                self.fault_injector is not None
+                and self.fault_injector.should_kill(plan.shard_id, attempt)
+            ):
+                # Drop the connection unanswered: to the client this is
+                # indistinguishable from the worker host dying mid-shard.
+                return 1
             response = {
                 "ok": True,
                 "payload": execute_plan(plan),
                 "worker": f"socket:{os.getpid()}",
             }
-        except Exception as exc:  # report, don't kill the server
+        except Exception as exc:
             response = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        stream.write((json.dumps(response) + "\n").encode("utf-8"))
-        stream.flush()
+        try:
+            stream.write((json.dumps(response) + "\n").encode("utf-8"))
+            stream.flush()
+        except OSError:  # the peer hung up before reading its answer
+            pass
         return 1
 
     def close(self) -> None:

@@ -34,14 +34,12 @@ import os
 import sys
 from typing import List, Optional
 
-from ..obs.history import RunHistory
+from ..obs.history import DEFAULT_DB, RunHistory
 from ..scenarios.spec import ScenarioSpec, spec_hash
 from .corpus import Corpus
 from .engine import FuzzConfig, Fuzzer
 from .oracle import evaluate_candidate
 from .shrink import shrink
-
-DEFAULT_DB = "BENCH_history.sqlite"
 
 
 def _load_corpus(db: Optional[str]) -> tuple:

@@ -27,7 +27,7 @@ import sys
 from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
-from .history import RunHistory
+from .history import DEFAULT_DB, RunHistory
 from .spans import chrome_trace, text_timeline
 from .gates import (
     MAX_DRIFT,
@@ -38,8 +38,6 @@ from .gates import (
     render,
 )
 from .trend import compare_bench_runs
-
-DEFAULT_DB = "BENCH_history.sqlite"
 
 
 def _run_campaign(name: str, seed: int, shards: Optional[int]):

@@ -30,6 +30,9 @@ import subprocess
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
 
+#: The store every CLI and the service open unless told otherwise.
+DEFAULT_DB = "BENCH_history.sqlite"
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,

@@ -11,8 +11,8 @@ This package is the scale layer the ROADMAP's north star asks for:
   streams (campaigns over it go through :mod:`repro.campaign`);
 * :mod:`repro.runtime.telemetry` — :class:`FleetTelemetry` and its
   bounded-memory aggregators (counters, windowed rates, reservoir
-  histograms), the streaming alternative to retaining the merged fleet
-  trace at thousand-SUO scale.
+  histograms), the fleet's queryable view of an event stream it does
+  not retain.
 
 ``fleet`` is imported lazily (PEP 562): it depends on the SUO packages,
 which themselves import the kernel — which imports this package for the

@@ -13,19 +13,20 @@ monitors onto one :class:`~repro.sim.kernel.Kernel` and one
   seed is derived from ``(fleet_seed, suo_id)`` — adding or reordering
   members never perturbs the others, and the same fleet seed reproduces
   the identical fleet trace byte for byte;
-* a wildcard ``suo.*`` subscription records the merged fleet trace, whose
-  :meth:`MonitorFleet.trace_digest` is the determinism witness.
+* a wildcard ``suo.*`` subscription hashes the merged fleet event
+  stream as it flows; :meth:`MonitorFleet.trace_digest` is the
+  determinism witness, and no event is retained after it is hashed.
 
 Campaigns over a fleet are declared as a
 :class:`~repro.scenarios.ScenarioSpec` and run through
 :mod:`repro.campaign`; :func:`build_fleet_report` folds each run into a
-:class:`FleetReport` with detection and throughput numbers.
+:class:`FleetReport`, the one record a shard sends home.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 from ..awareness.monitor import (
@@ -37,7 +38,6 @@ from ..printer.engine import Printer
 from ..printer.model import make_printer_monitor
 from ..sim.kernel import Kernel
 from ..sim.random import RandomStreams
-from ..sim.trace import Trace
 from ..tv.mediaplayer import MediaPlayer, MediaSource
 from ..tv.remote import RandomUser
 from ..tv.tvset import TVSet
@@ -82,20 +82,16 @@ class FleetMember:
 class MonitorFleet:
     """N monitored SUOs multiplexed on one kernel and one event bus.
 
-    With ``retain_trace=True`` (the default) every ``suo.*`` event lands
-    in the merged :attr:`trace`, queryable after the run.  At thousand-SUO
-    scale that record dominates memory, so ``retain_trace=False`` switches
-    to streaming mode: the deterministic :meth:`trace_digest` is still
-    computed (the SHA-256 runs incrementally over the same byte lines),
-    but no records are retained — :attr:`telemetry` then carries the
-    bounded-memory aggregate view.
+    Every ``suo.*`` event is folded into the incremental
+    :meth:`trace_digest` and counted, then dropped: observation keeps no
+    per-event record, so memory does not grow with the event count.
+    :attr:`telemetry` carries the bounded-memory aggregate view.
     """
 
     def __init__(
         self,
         seed: int = 0,
         kernel: Optional[Kernel] = None,
-        retain_trace: bool = True,
         telemetry_window: float = 10.0,
         telemetry_reservoir: int = 512,
         stream_seed: Optional[int] = None,
@@ -112,19 +108,12 @@ class MonitorFleet:
         self.stream_seed = seed if stream_seed is None else stream_seed
         self.streams = RandomStreams(derive_member_seed(self.stream_seed, "<fleet>"))
         self.members: Dict[str, FleetMember] = {}
-        self.retain_trace = retain_trace
-        #: Merged, time-stamped record of every SUO input/output/stimulus
-        #: (left empty in streaming mode).
-        self.trace = Trace(
-            clock=lambda: self.kernel.now, bus=self.bus, name="fleet"
-        )
-        #: Incremental determinism witness; fed the same bytes that
-        #: :meth:`trace_digest` used to hash post-hoc, so retained and
-        #: streaming mode produce the identical digest.
+        #: Incremental determinism witness over the merged fleet event
+        #: stream, one time-stamped line per SUO input/output/stimulus.
         self._digest = hashlib.sha256()
         self._record_count = 0
-        #: topic -> (suo_id, kind, digest-line middle), see :meth:`_record`.
-        self._topic_parts: Dict[str, Any] = {}
+        #: topic -> digest-line middle, see :meth:`_record`.
+        self._topic_parts: Dict[str, str] = {}
         self.bus.subscribe("suo.*", self._record)
         #: Optional :class:`~repro.obs.spans.SpanRecorder` — attached
         #: via :meth:`attach_span_recorder`, never constructed here:
@@ -253,33 +242,29 @@ class MonitorFleet:
             recorder.attach_member(suo_id)
 
     # ------------------------------------------------------------------
-    # fleet trace
+    # fleet event stream
     # ------------------------------------------------------------------
     def _record(self, topic: str, event: Any) -> None:
         # topic == "suo.<suo_id>.<kind>"; per-member counting lives in
         # the telemetry hub's own suo.* subscription (member.tally).
-        # Topics recur for the life of the fleet, so the split (and the
-        # "<suo_id>\t<kind>\t" digest-line fragment it feeds) is cached
-        # per topic rather than recomputed per event.
-        cached = self._topic_parts.get(topic)
-        if cached is None:
+        # Topics recur for the life of the fleet, so the split into the
+        # "\t<suo_id>\t<kind>\t" digest-line fragment is cached per topic
+        # rather than recomputed per event.
+        middle = self._topic_parts.get(topic)
+        if middle is None:
             _, suo_id, kind = topic.split(".", 2)
-            cached = self._topic_parts[topic] = (suo_id, kind, f"\t{suo_id}\t{kind}\t")
-        suo_id, kind, middle = cached
+            middle = self._topic_parts[topic] = f"\t{suo_id}\t{kind}\t"
         line = f"{self.kernel.now:.9f}{middle}{event!r}\n"
         self._digest.update(line.encode("utf-8"))
         self._record_count += 1
-        if self.retain_trace:
-            self.trace.emit(suo_id, kind, event)
 
     def trace_digest(self) -> str:
         """SHA-256 over the merged fleet event stream (determinism
-        witness).  Computed incrementally, so it is available in both
-        retained and streaming (``retain_trace=False``) mode."""
+        witness), computed incrementally as events flow."""
         return self._digest.hexdigest()
 
     def record_count(self) -> int:
-        """Events recorded to the merged stream (retained or not)."""
+        """Events hashed into the merged stream so far."""
         return self._record_count
 
     # ------------------------------------------------------------------
@@ -321,25 +306,42 @@ class MonitorFleet:
 
 @dataclass
 class FleetReport:
-    """Outcome of one campaign over a :class:`MonitorFleet`."""
+    """One executed fleet run — a full cell or one shard of it.
 
+    This is the one record a shard produces: :meth:`to_json` is the
+    JSON-safe payload a worker sends home, a checkpoint row stores and
+    :func:`~repro.campaign.report.merge_shard_results` folds.  Every
+    field is a payload key; the rates are derived.
+    """
+
+    shard_id: int
     members: int
     duration: float
     dispatched: int
     wall_seconds: float
-    events_per_sec: float
-    errors_by_suo: Dict[str, int]
+    trace_digest: str
+    trace_records: int
+    #: Mergeable telemetry summary (per-SUO ledger and reservoir
+    #: samples included; see :func:`~repro.runtime.telemetry.merge_summaries`).
+    summary: Dict[str, Any]
     faulty: List[str]
     detected: List[str]
     false_alarms: List[str]
-    trace_digest: str
-    trace_records: int
-    telemetry_summary: Dict[str, Any] = field(default_factory=dict)
-    telemetry_digest: str = ""
-    retained_trace: bool = True
     #: Monitored members that were NOT fault-injected — the population
-    #: that could have false-alarmed (None: derive from members/faulty).
-    monitored_clean: Optional[int] = None
+    #: that could have false-alarmed.
+    monitored_clean: int
+    errors_by_suo: Dict[str, int]
+    #: profile name -> members assigned to it.
+    profile_mix: Dict[str, int] = field(default_factory=dict)
+    #: Causal-span block (None unless a span recorder was attached):
+    #: counters + digest triples merge exactly; see merge_span_blocks.
+    spans: Optional[Dict[str, Any]] = None
+
+    @property
+    def events_per_sec(self) -> float:
+        if self.wall_seconds <= 0:
+            return 0.0
+        return self.dispatched / self.wall_seconds
 
     @property
     def detection_rate(self) -> float:
@@ -356,13 +358,13 @@ class FleetReport:
         member exists — nobody *could* have false-alarmed).  Unmonitored
         members (``monitor=False`` admissions) are excluded from the
         denominator, mirroring the detection-rate accounting."""
-        if self.monitored_clean is not None:
-            clean = self.monitored_clean
-        else:
-            clean = self.members - len(self.faulty)
-        if clean <= 0:
+        if self.monitored_clean <= 0:
             return 0.0
-        return len(self.false_alarms) / clean
+        return len(self.false_alarms) / self.monitored_clean
+
+    def to_json(self) -> Dict[str, Any]:
+        """The shard payload: every field, in declaration order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_fleet_report(
@@ -371,33 +373,32 @@ def build_fleet_report(
     dispatched: int,
     wall_seconds: float,
     faulty: List["FleetMember"],
+    shard_id: int = 0,
+    profile_mix: Optional[Dict[str, int]] = None,
 ) -> FleetReport:
-    """Fold a finished campaign segment into a :class:`FleetReport`."""
-    errors = {m.suo_id: m.error_count for m in fleet.members.values()}
-    detected = [m.suo_id for m in faulty if m.error_count > 0]
-    false_alarms = [
-        m.suo_id
-        for m in fleet.members.values()
-        if not m.faulty and m.error_count > 0
-    ]
+    """Fold a finished campaign segment into a :class:`FleetReport`.
+
+    The telemetry summary is rendered exactly once, here."""
+    members = fleet.members.values()
+    recorder = fleet.span_recorder
     return FleetReport(
+        shard_id=shard_id,
         members=len(fleet),
         duration=duration,
         dispatched=dispatched,
         wall_seconds=wall_seconds,
-        events_per_sec=dispatched / wall_seconds if wall_seconds > 0 else 0.0,
-        errors_by_suo=errors,
-        faulty=[m.suo_id for m in faulty],
-        detected=detected,
-        false_alarms=false_alarms,
         trace_digest=fleet.trace_digest(),
         trace_records=fleet.record_count(),
-        telemetry_summary=fleet.telemetry.summary(),
-        telemetry_digest=fleet.telemetry.digest(),
-        retained_trace=fleet.retain_trace,
+        summary=fleet.telemetry.summary(per_suo=True, samples=True),
+        faulty=[m.suo_id for m in faulty],
+        detected=[m.suo_id for m in faulty if m.error_count > 0],
+        false_alarms=[
+            m.suo_id for m in members if not m.faulty and m.error_count > 0
+        ],
         monitored_clean=sum(
-            1
-            for m in fleet.members.values()
-            if m.monitor is not None and not m.faulty
+            1 for m in members if m.monitor is not None and not m.faulty
         ),
+        errors_by_suo={m.suo_id: m.error_count for m in members},
+        profile_mix=profile_mix or {},
+        spans=recorder.mergeable() if recorder is not None else None,
     )

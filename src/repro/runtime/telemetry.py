@@ -1,13 +1,12 @@
-"""Streaming fleet telemetry: bounded-memory observation of big campaigns.
+"""Streaming fleet telemetry: bounded-memory observation of campaigns.
 
-The merged fleet :class:`~repro.sim.trace.Trace` is the right tool up to a
-few hundred SUOs — every record retained, queryable after the fact, and
-hashable into the determinism witness.  At the thousand-SUO scale the
-ROADMAP asks for, retaining every record is exactly the "observation
-degrades the system" failure the paper's overhead constraint (Sect. 2)
-warns about, applied to memory instead of time.
+A fleet keeps no per-event record: it hashes each ``suo.*`` event into
+its trace digest and drops it, because retaining every record is
+exactly the "observation degrades the system" failure the paper's
+overhead constraint (Sect. 2) warns about, applied to memory instead of
+time.
 
-This module provides the bounded alternative: aggregators that subscribe
+This module provides the queryable view: aggregators that subscribe
 to the runtime bus and fold the event stream into fixed-size state —
 
 * :class:`CounterSet`        — named monotonic counters;

@@ -3,9 +3,10 @@
 :class:`CompiledScenario` is the bridge between the declarative layer and
 the runtime engine: it builds the device mix, assigns user profiles from
 a seeded stream, schedules every fault phase (applications, pulses, and
-repairs) on the kernel, and drives the whole campaign through
-:func:`~repro.runtime.fleet.build_fleet_report` so declarative and
-hand-coded campaigns report through the same schema.
+repairs) on the kernel, and folds each run into one
+:class:`~repro.runtime.fleet.FleetReport` — the record a shard sends
+home — so declarative and hand-coded campaigns report through the same
+schema.
 
 Determinism contract: every stochastic choice — profile assignment,
 phase targeting, seek positions, print-job sizes — draws from a stream
@@ -147,7 +148,6 @@ class CompiledScenario:
         spec = self.spec
         self.fleet = MonitorFleet(
             seed=plan.seed,
-            retain_trace=spec.resolve_retain_trace(),
             telemetry_window=spec.telemetry_window,
             telemetry_reservoir=spec.telemetry_reservoir,
             # Shard-local streams (telemetry reservoir sampling) key to
@@ -483,5 +483,9 @@ class CompiledScenario:
         self._elapsed += self.spec.duration
         self._dispatched += dispatched
         return build_fleet_report(
-            self.fleet, self._elapsed, self._dispatched, self._wall, self.faulty
+            self.fleet, self._elapsed, self._dispatched, self._wall, self.faulty,
+            shard_id=self.plan.shard_id,
+            profile_mix={
+                name: len(group) for name, group in self.profile_groups.items()
+            },
         )

@@ -184,10 +184,8 @@ def partition_plan(plan: ScenarioPlan, shards: int) -> List[ScenarioPlan]:
     """Split a full plan into per-shard plans, round-robin per kind.
 
     Each shard plan carries a partitioned spec (device counts shrink to
-    the shard's slice; ``retain_trace`` is pinned to the parent's
-    resolved mode so memory behaviour is scale-invariant) while members
-    keep their global suo_ids, kind indices, profiles, and phase
-    memberships.  Shards that would be empty are dropped, so asking for
+    the shard's slice) while members keep their global suo_ids, kind
+    indices, profiles, and phase memberships.  Shards that would be empty are dropped, so asking for
     more shards than members degrades gracefully.
     """
     if shards < 1:
@@ -213,7 +211,6 @@ def partition_plan(plan: ScenarioPlan, shards: int) -> List[ScenarioPlan]:
             tvs=counts["tv"],
             players=counts["player"],
             printers=counts["printer"],
-            retain_trace=plan.spec.resolve_retain_trace(),
         )
         result.append(ScenarioPlan(
             spec=shard_spec,

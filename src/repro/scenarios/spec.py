@@ -260,9 +260,6 @@ class ScenarioSpec:
     #: Power-on stagger between TVs.
     stagger: float = 0.1
     # telemetry / tracing ---------------------------------------------
-    #: None → automatic: retain the full merged trace only for fleets
-    #: under :data:`AUTO_STREAM_THRESHOLD` members.
-    retain_trace: Optional[bool] = None
     telemetry_window: float = 10.0
     telemetry_reservoir: int = 512
     #: Attach a :class:`~repro.obs.spans.SpanRecorder` so every fault
@@ -272,16 +269,9 @@ class ScenarioSpec:
     #: publish into silence and no digest changes.
     record_spans: bool = False
 
-    AUTO_STREAM_THRESHOLD = 200
-
     @property
     def members(self) -> int:
         return self.tvs + self.players + self.printers
-
-    def resolve_retain_trace(self) -> bool:
-        if self.retain_trace is not None:
-            return self.retain_trace
-        return self.members < self.AUTO_STREAM_THRESHOLD
 
     def validate(self) -> None:
         if self.duration <= 0:
@@ -353,8 +343,6 @@ class ScenarioSpec:
             data["player_seek_every"] = float(self.player_seek_every)
         if self.printer_job_gap is not None:
             data["printer_job_gap"] = float(self.printer_job_gap)
-        if self.retain_trace is not None:
-            data["retain_trace"] = bool(self.retain_trace)
         return data
 
     @classmethod
@@ -390,10 +378,6 @@ class ScenarioSpec:
                 int(p) for p in data.get("printer_pages", (1, 4))
             ),
             stagger=float(data.get("stagger", 0.1)),
-            retain_trace=(
-                None if data.get("retain_trace") is None
-                else bool(data["retain_trace"])
-            ),
             telemetry_window=float(data.get("telemetry_window", 10.0)),
             telemetry_reservoir=int(data.get("telemetry_reservoir", 512)),
             record_spans=bool(data.get("record_spans", False)),

@@ -13,6 +13,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from ..obs.history import DEFAULT_DB
 from .server import CampaignServer
 
 
@@ -30,7 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--db",
-        default="BENCH_history.sqlite",
+        default=DEFAULT_DB,
         help="run-history SQLite store (campaign checkpoints + /history)",
     )
     parser.add_argument(

@@ -33,7 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..obs.history import RunHistory
+from ..obs.history import DEFAULT_DB, RunHistory
 from ..obs.gates import TREND_WINDOW, evaluate, failures
 from .jobs import JobManager, SubmissionError, encode_record
 
@@ -55,7 +55,7 @@ class CampaignServer(ThreadingHTTPServer):
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        db_path: str = "BENCH_history.sqlite",
+        db_path: str = DEFAULT_DB,
         workers: int = 2,
         segments: int = 8,
     ) -> None:
@@ -299,7 +299,7 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
 def serve(
     host: str = "127.0.0.1",
     port: int = 0,
-    db_path: str = "BENCH_history.sqlite",
+    db_path: str = DEFAULT_DB,
     workers: int = 2,
     segments: int = 8,
 ) -> CampaignServer:

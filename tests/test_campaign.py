@@ -20,7 +20,7 @@ from repro.campaign import (
     run_cell,
     format_campaign_table,
 )
-from repro.runtime.telemetry import mergeable_summary
+from repro.runtime.telemetry import FleetTelemetry, mergeable_summary
 from repro.scenarios import FaultPhase, SCENARIOS, ScenarioSpec, UserProfile, build_plan, partition_plan
 
 SMALL = ScenarioSpec(
@@ -135,6 +135,24 @@ def test_campaign_report_to_json_round_trips():
     assert data["detection_rate"] == report.detection_rate
     assert data["telemetry_summary"]["events_total"] == \
         report.telemetry_summary["events_total"]
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_each_executed_shard_renders_its_summary_once(monkeypatch, shards):
+    """The shard record is built once: one telemetry summary per shard,
+    whatever the merge, checkpoint or report paths read from it."""
+    calls = []
+    render = FleetTelemetry.summary
+
+    def counting(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return render(self, *args, **kwargs)
+
+    monkeypatch.setattr(FleetTelemetry, "summary", counting)
+    backend = DistributedBackend(InlineExecutor(), shards=shards)
+    report = run_cell(SMALL, 3, backend=backend)
+    assert report.shards == shards
+    assert len(calls) == shards
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ dropped socket), and retried within a bound.
 """
 
 import json
+import socket
 from dataclasses import replace
 
 import pytest
@@ -165,6 +166,34 @@ def test_socket_workers_match_serial_and_survive_a_dropped_connection():
         flaky.close()
         healthy.close()
     assert report.telemetry_digest == serial.telemetry_digest
+
+
+def _exchange(address, line):
+    with socket.create_connection(address, timeout=30.0) as conn:
+        stream = conn.makefile("rwb")
+        stream.write(line)
+        stream.flush()
+        return json.loads(stream.readline().decode("utf-8"))
+
+
+def test_socket_worker_answers_malformed_requests_and_keeps_serving():
+    plan = build_plan(small_spec(), 5)
+    server = ShardWorkerServer()
+    thread = server.serve_in_background()
+    try:
+        for garbage in (b"not json\n", b"[1, 2]\n", b'{"plan": {}}\n'):
+            reply = _exchange(server.address, garbage)
+            assert reply["ok"] is False and reply["error"]
+        assert thread.is_alive()
+        request = json.dumps({"plan": plan.to_json(), "attempt": 0})
+        reply = _exchange(server.address, (request + "\n").encode("utf-8"))
+    finally:
+        server.close()
+    assert reply["ok"] is True
+    local = json.loads(json.dumps(execute_plan(plan)))
+    for payload in (reply["payload"], local):
+        payload.pop("wall_seconds")
+    assert reply["payload"] == local
 
 
 def test_unreachable_socket_worker_is_a_worker_lost_error():

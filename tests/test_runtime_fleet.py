@@ -9,12 +9,16 @@ Campaigns over a fleet are :class:`ScenarioSpec` cells compiled by
 """
 
 import gc
+from dataclasses import replace
 
 import pytest
 
+from repro.campaign import run_cell_detailed
 from repro.runtime import MonitorFleet, build_fleet_report
 from repro.runtime.fleet import derive_member_seed
-from repro.scenarios import CompiledScenario, FaultPhase, ScenarioSpec, UserProfile
+from repro.scenarios import (
+    CompiledScenario, FaultPhase, ScenarioSpec, UserProfile, get_scenario,
+)
 
 
 def _campaign(seed, tvs, duration, fault_fraction=0.0, keys=None, **spec_args):
@@ -131,17 +135,19 @@ def _report(members=0, faulty=(), detected=(), false_alarms=()):
     from repro.runtime import FleetReport
 
     return FleetReport(
+        shard_id=0,
         members=members,
         duration=1.0,
         dispatched=0,
         wall_seconds=0.0,
-        events_per_sec=0.0,
-        errors_by_suo={},
+        trace_digest="",
+        trace_records=0,
+        summary={},
         faulty=list(faulty),
         detected=list(detected),
         false_alarms=list(false_alarms),
-        trace_digest="",
-        trace_records=0,
+        monitored_clean=members - len(faulty),
+        errors_by_suo={},
     )
 
 
@@ -174,7 +180,7 @@ def test_runner_on_an_empty_fleet():
     assert report.faulty == []
     assert report.detection_rate == 1.0
     assert report.false_alarm_rate == 0.0
-    assert report.telemetry_summary["events_total"] == 0
+    assert report.summary["events_total"] == 0
 
 
 def test_runner_faults_into_every_member():
@@ -204,22 +210,6 @@ def test_repeated_run_extends_the_campaign_instead_of_restarting():
     assert second.dispatched >= first.dispatched > 0
 
 
-def test_streaming_mode_matches_retained_digest_with_no_records():
-    def campaign(retain):
-        compiled = _campaign(13, 4, 30.0, retain_trace=retain)
-        report = compiled.run()
-        return compiled.fleet, report
-
-    retained_fleet, retained = campaign(True)
-    streaming_fleet, streaming = campaign(False)
-    assert retained.trace_digest == streaming.trace_digest
-    assert retained.trace_records == streaming.trace_records
-    assert len(retained_fleet.trace.records) == retained.trace_records
-    assert streaming_fleet.trace.records == []  # bounded memory
-    assert streaming.retained_trace is False
-    assert retained.telemetry_digest == streaming.telemetry_digest
-
-
 def test_false_alarm_denominator_counts_monitored_clean_members():
     """Unmonitored members can be fault-injected too; the false-alarm
     pool is the monitored AND fault-free population, not monitored minus
@@ -237,6 +227,13 @@ def test_false_alarm_denominator_counts_monitored_clean_members():
     assert report.false_alarm_rate == 0.0
 
 
+def _live_objects() -> int:
+    # Earlier tests' garbage can take more than one pass to free.
+    while gc.collect():
+        pass
+    return len(gc.get_objects())
+
+
 def test_tv_member_footprint_is_bounded():
     """Each monitored TV adds a bounded number of GC-tracked objects.
 
@@ -244,15 +241,30 @@ def test_tv_member_footprint_is_bounded():
     on CPython 3.11 and 3.12); a chart per member adds ~170 more and
     fails this bound.
     """
-    def live_objects() -> int:
-        # Earlier tests' garbage can take more than one pass to free.
-        while gc.collect():
-            pass
-        return len(gc.get_objects())
-
     fleet = MonitorFleet(seed=0)
     fleet.add_tv()  # builds the shared chart and other per-process caches
-    before = live_objects()
+    before = _live_objects()
     fleet.add_tvs(50)
-    per_member = (live_objects() - before) / 50
+    per_member = (_live_objects() - before) / 50
     assert per_member <= 300
+
+
+def test_finished_cell_heap_does_not_grow_with_event_count():
+    """A finished cell's live heap is independent of how many events it
+    dispatched: the fleet hashes each event and keeps no record of it.
+
+    Doubling the drill's duration roughly doubles its recorded events
+    (~15k more); the kept cell grows by ~90 objects.  Retaining one
+    record per event would grow it by about as many objects as events.
+    """
+    spec = get_scenario("player-decoder-drill")
+    grown = []
+    for factor in (1, 2):
+        before = _live_objects()
+        cell = run_cell_detailed(replace(spec, duration=spec.duration * factor), 0)
+        assert cell.compiled.fleet.members  # the live cell stays reachable
+        grown.append((_live_objects() - before, cell.fleet_report.trace_records))
+        del cell
+    (objects_d, records_d), (objects_2d, records_2d) = grown
+    assert records_2d - records_d > 5_000
+    assert objects_2d - objects_d < 0.1 * (records_2d - records_d)

@@ -99,15 +99,13 @@ class TestSpecRoundTrip:
         loaded = ScenarioSpec.from_json(data)
         assert loaded.profiles == (UserProfile("default"),)
 
-    def test_retain_trace_tristate(self):
-        base = ScenarioSpec(name="n", description="", duration=5.0, tvs=1)
+    def test_unknown_keys_are_ignored(self):
+        """A spec stored by an older version may carry a field that no
+        longer exists; loading drops it instead of failing."""
+        spec = ScenarioSpec(name="n", description="", duration=5.0, tvs=1)
         for value in (None, True, False):
-            spec = ScenarioSpec(
-                name="n", description="", duration=5.0, tvs=1,
-                retain_trace=value,
-            )
-            assert ScenarioSpec.from_json(spec.to_json()).retain_trace == value
-        assert base.retain_trace is None
+            data = dict(spec.to_json(), retired_field=value)
+            assert ScenarioSpec.from_json(data) == spec
 
     def test_hash_is_stable_and_discriminating(self):
         spec = get_scenario("zapping-storm")
