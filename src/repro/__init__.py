@@ -29,10 +29,10 @@ awareness stack on a fully simulated substrate:
   (ScenarioSpec → MonitorFleet compiler, a ≥10-entry named library,
   deterministic placement plans for sharded execution);
 * :mod:`repro.campaign`    — the unified campaign API: Campaign
-  (scenario × seed plans) executed through pluggable backends —
-  SerialBackend (one kernel) or DistributedBackend (one kernel per
-  shard on in-process, per-process or socket workers, merged
-  telemetry, backend-invariant telemetry digests).
+  (scenario × seed plans) executed through one backend class,
+  DistributedBackend (one kernel per shard on an inline, process,
+  socket or service executor, merged telemetry, backend-invariant
+  telemetry digests); SerialBackend is its one-shard inline preset.
 """
 
 __version__ = "1.0.0"

@@ -8,14 +8,15 @@ is the API seam that makes scale pluggable:
   seed plan) and :func:`execute_cell`, THE orchestration path every
   backend flows through (plus :func:`run_cell` /
   :func:`run_cell_detailed`, the blessed one-off surfaces);
-* :mod:`repro.campaign.backends`    — the executor protocol
-  (``submit(plan) -> ShardResult``) and :class:`SerialBackend` (one
-  kernel, in-process);
-* :mod:`repro.campaign.distributed` — :class:`DistributedBackend`
-  partitioning the device mix into per-shard plans and dispatching
-  them to workers (in-process, per-process with heartbeat loss
-  detection, or remote over sockets) with bounded retry, merged
-  telemetry;
+* :mod:`repro.campaign.backends`    — :class:`DistributedBackend`, the
+  one backend class: it runs a cell's per-shard plans through a shard
+  executor (``run_attempt(plan, attempt) -> ShardResult``) with bounded
+  retry; :class:`SerialBackend` is its one-shard, in-process preset
+  over :class:`InlineExecutor`;
+* :mod:`repro.campaign.distributed` — the out-of-process executors:
+  one worker process per shard attempt with heartbeat loss detection,
+  or remote workers over sockets (the fourth executor, the service's
+  streaming one, lives in :mod:`repro.service.jobs`);
 * :mod:`repro.campaign.checkpoint`  — shard-durable progress in the
   :mod:`repro.obs.history` store and :func:`resume_campaign`;
 * :mod:`repro.campaign.report`      — :class:`CampaignReport`, the
@@ -27,13 +28,15 @@ worker); see docs/CAMPAIGNS.md and docs/DISTRIBUTED.md.
 """
 
 from .backends import (
-    ExecutionBackend,
-    ExecutorBackend,
+    DistributedBackend,
+    InlineExecutor,
     SerialBackend,
+    ShardExhaustedError,
     ShardResult,
+    WorkerFaultInjector,
+    WorkerLostError,
     derive_shard_seed,
     execute_plan,
-    execute_plan_detailed,
     resolve_shards,
 )
 from .checkpoint import (
@@ -51,14 +54,9 @@ from .core import (
     run_cell_detailed,
 )
 from .distributed import (
-    DistributedBackend,
-    InlineExecutor,
     ProcessWorkerExecutor,
-    ShardExhaustedError,
     ShardWorkerServer,
     SocketWorkerExecutor,
-    WorkerFaultInjector,
-    WorkerLostError,
 )
 from .report import (
     CAMPAIGN_TABLE_HEADER,
@@ -75,8 +73,6 @@ __all__ = [
     "CellExecution",
     "CellHandle",
     "DistributedBackend",
-    "ExecutionBackend",
-    "ExecutorBackend",
     "InlineExecutor",
     "ProcessWorkerExecutor",
     "ScenarioLike",
@@ -90,7 +86,6 @@ __all__ = [
     "derive_shard_seed",
     "execute_cell",
     "execute_plan",
-    "execute_plan_detailed",
     "format_campaign_table",
     "merge_shard_results",
     "new_campaign_id",

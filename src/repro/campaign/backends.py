@@ -1,19 +1,28 @@
 """Execution backends: the one seam every campaign cell runs through.
 
-Campaign execution has a single protocol:
+A cell reaches the simulator through two contracts:
 
-* **executors** implement ``submit(plan) -> ShardResult`` — run one
-  per-shard :class:`~repro.scenarios.plan.ScenarioPlan` wherever the
-  backend keeps its workers (in-process, a worker process, another
-  host) and hand back the shard's mergeable payload;
-* **orchestration** lives in exactly one place,
-  :func:`repro.campaign.core.execute_cell` — plan, partition, skip
-  checkpointed shards, submit the rest, merge — and every backend
-  (serial, or distributed over in-process, per-process or socket
-  workers) flows through it.
+* a **shard executor** (:class:`ShardExecutor`) runs one attempt of one
+  per-shard :class:`~repro.scenarios.plan.ScenarioPlan` somewhere and
+  hands back the shard's mergeable :class:`ShardResult`, or raises
+  :class:`WorkerLostError` when that somewhere died;
+* :class:`DistributedBackend`, the one backend class, picks the shard
+  count, retries a lost attempt on a fresh worker up to a bound, and
+  dispatches a cell's pending shard plans (concurrently when there are
+  several).
+
+Four executors ship: :class:`InlineExecutor` (in-process, here),
+``ProcessWorkerExecutor`` and ``SocketWorkerExecutor``
+(:mod:`repro.campaign.distributed`), and the campaign service's
+``StreamingExecutor`` (:mod:`repro.service.jobs`).
+:class:`SerialBackend` is the one-shard, one-attempt preset over
+:class:`InlineExecutor`.
+Orchestration (plan, partition, skip checkpointed shards, submit the
+rest, merge) lives in exactly one place,
+:func:`repro.campaign.core.execute_cell`.
 
 The sharded contract (verified by ``tests/test_campaign.py`` and gated
-in CI) is unchanged:
+in CI):
 
 * merged counter/tally telemetry is **identical** to the serial run's —
   per-member behaviour keys to ``(campaign seed, suo_id)`` so placement
@@ -26,6 +35,7 @@ in CI) is unchanged:
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -36,22 +46,23 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
-    runtime_checkable,
 )
 
-from ..runtime.fleet import FleetReport
 from ..scenarios.compile import CompiledScenario
 from ..scenarios.plan import ScenarioPlan, derive_shard_seed
 from ..scenarios.spec import ScenarioSpec
 
 __all__ = [
-    "ExecutionBackend",
-    "ExecutorBackend",
+    "DistributedBackend",
+    "InlineExecutor",
     "SerialBackend",
+    "ShardExecutor",
+    "ShardExhaustedError",
     "ShardResult",
+    "WorkerFaultInjector",
+    "WorkerLostError",
     "derive_shard_seed",
     "execute_plan",
-    "execute_plan_detailed",
     "execute_plan_segmented",
     "resolve_shards",
 ]
@@ -68,11 +79,12 @@ def resolve_shards(members: int, cpu_count: Optional[int] = None) -> int:
 
     One shard per ``MIN_MEMBERS_PER_SHARD`` members, capped at the CPU
     count — a 1-CPU container degrades to a single in-process shard and
-    a thousand-SUO cell on a big host fans out to every core.  Every
-    backend's ``resolve()`` routes through here, and the resolved count
-    is what a :class:`~repro.campaign.checkpoint.CampaignCheckpoint`
-    records — so an autotune decision is visible in the checkpoint row
-    instead of vanishing with the process that made it.
+    a thousand-SUO cell on a big host fans out to every core.  An
+    autotuning backend's ``resolve()`` routes through here, and the
+    resolved count is what a
+    :class:`~repro.campaign.checkpoint.CampaignCheckpoint` records — so
+    an autotune decision is visible in the checkpoint row instead of
+    vanishing with the process that made it.
     """
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     by_size = max(1, members // MIN_MEMBERS_PER_SHARD)
@@ -123,11 +135,11 @@ def execute_plan(plan: ScenarioPlan) -> Dict[str, Any]:
     """Compile and run one plan (a full cell or one shard of it) and
     return its payload, :meth:`FleetReport.to_json`.
 
-    The executor primitive every backend bottoms out in: worker
+    The inline, process and socket executors all call this, so worker
     processes and socket workers on another host run the byte-identical
     code path.
     """
-    return CompiledScenario(plan.spec, plan.seed, plan=plan).run().to_json()
+    return execute_plan_segmented(plan, 1)
 
 
 def execute_plan_segmented(
@@ -135,31 +147,18 @@ def execute_plan_segmented(
     segments: int,
     on_segment: Optional[Callable[[CompiledScenario, int, float], None]] = None,
 ) -> Dict[str, Any]:
-    """:func:`execute_plan`, sliced into ``segments`` kernel runs.
+    """:func:`execute_plan`, sliced into ``segments`` kernel runs: the
+    one plan primitive, which compiles the plan and runs it.
 
-    The payload is byte-identical to :func:`execute_plan`'s for any
-    segment count (see :meth:`CompiledScenario.run_segmented`); the
-    difference is purely observational — ``on_segment`` fires between
-    slices with live telemetry flushed, which is where the campaign
-    service samples :class:`~repro.runtime.telemetry.FleetTelemetry`
-    snapshots for its NDJSON stream and checks for cancellation.
+    The payload is byte-identical for any segment count (see
+    :meth:`CompiledScenario.run_segmented`); the difference is purely
+    observational — ``on_segment`` fires between slices with live
+    telemetry flushed, which is where the campaign service samples
+    :class:`~repro.runtime.telemetry.FleetTelemetry` snapshots for its
+    NDJSON stream and checks for cancellation.
     """
     compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
     return compiled.run_segmented(segments, on_segment=on_segment).to_json()
-
-
-def execute_plan_detailed(
-    plan: ScenarioPlan,
-) -> Tuple[Dict[str, Any], FleetReport, CompiledScenario]:
-    """:func:`execute_plan` plus the :class:`FleetReport` it renders and
-    the live compiled objects.
-
-    Only meaningful in-process; this is what the detailed serial path
-    (:func:`repro.campaign.core.run_cell_detailed`) uses so callers can
-    still inspect members, span recorders, and fleet internals."""
-    compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
-    report = compiled.run()
-    return report.to_json(), report, compiled
 
 
 #: Callback invoked with each completed :class:`ShardResult` as it
@@ -168,69 +167,177 @@ ResultSink = Callable[[ShardResult], None]
 
 
 # ----------------------------------------------------------------------
-# the unified backend protocol
+# shard executors
 # ----------------------------------------------------------------------
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """Anything that can execute per-shard plans for a campaign cell.
+class WorkerLostError(RuntimeError):
+    """One shard attempt's worker died or went silent; retryable."""
 
-    ``resolve`` picks the shard count for a spec, ``submit`` executes
-    one plan, ``submit_all`` executes a batch (possibly in parallel) and
-    streams results into ``on_result``.
+
+class ShardExhaustedError(RuntimeError):
+    """Every allowed attempt for one shard lost its worker."""
+
+
+@dataclass(frozen=True)
+class WorkerFaultInjector:
+    """Deterministic worker killer for fault-tolerance tests.
+
+    Kills the worker of every shard in ``kill_shards`` on its first
+    ``kills`` attempts (attempts count from 0), then lets retries
+    succeed.  A pure function of ``(shard_id, attempt)`` — no clocks,
+    no randomness — so a CI failure replays exactly.  Picklable, so it
+    rides into spawned worker processes.
     """
+
+    kill_shards: Tuple[int, ...] = ()
+    kills: int = 1
+
+    def should_kill(self, shard_id: int, attempt: int) -> bool:
+        return shard_id in self.kill_shards and attempt < self.kills
+
+
+class ShardExecutor(Protocol):
+    """Runs one shard-plan attempt somewhere; raises
+    :class:`WorkerLostError` when that somewhere dies."""
 
     name: str
 
-    def resolve(self, spec: ScenarioSpec) -> int: ...
-
-    def submit(self, plan: ScenarioPlan) -> ShardResult: ...
-
-    def submit_all(
-        self,
-        plans: Sequence[ScenarioPlan],
-        on_result: Optional[ResultSink] = None,
-    ) -> List[ShardResult]: ...
+    def run_attempt(self, plan: ScenarioPlan, attempt: int) -> ShardResult: ...
 
 
-class ExecutorBackend:
-    """Base class wiring a ``submit`` seam into the one orchestration
-    path (:func:`repro.campaign.core.execute_cell`).
+class InlineExecutor:
+    """Run shard attempts in the calling process.
 
-    Subclasses override :meth:`submit` (and optionally
-    :meth:`submit_all` for parallel dispatch and :meth:`resolve` for
-    their sharding policy); everything above — planning, partitioning,
-    checkpoint skip/record, merging — is shared and identical across
-    serial and distributed execution.
+    The serial path's executor.  With a fault injector attached,
+    injected kills raise :class:`WorkerLostError`, so retry, attempt
+    provenance, and checkpoint behaviour are all exercised without
+    process machinery — including on 1-CPU containers.
     """
 
-    name = "executor"
+    name = "inline"
 
-    # -- sharding policy ------------------------------------------------
+    def __init__(self, fault_injector: Optional[WorkerFaultInjector] = None):
+        self.fault_injector = fault_injector
+
+    def run_attempt(self, plan: ScenarioPlan, attempt: int) -> ShardResult:
+        if (
+            self.fault_injector is not None
+            and self.fault_injector.should_kill(plan.shard_id, attempt)
+        ):
+            raise WorkerLostError(
+                f"shard {plan.shard_id} attempt {attempt}: injected loss"
+            )
+        return ShardResult(
+            shard_id=plan.shard_id, payload=execute_plan(plan),
+            attempt=attempt, worker="inline",
+        )
+
+
+# ----------------------------------------------------------------------
+# the backend
+# ----------------------------------------------------------------------
+class DistributedBackend:
+    """Campaign execution over a pluggable shard executor, with bounded
+    retry and concurrent dispatch.
+
+    ``shards=None`` autotunes via :func:`resolve_shards` (the decision
+    lands in the checkpoint row).  ``max_attempts`` bounds how many
+    workers one shard may consume before the cell fails loudly with
+    :class:`ShardExhaustedError` — a lost worker is retryable, a shard
+    that kills every worker it touches is a bug to surface, not mask.
+    ``parallelism`` caps concurrent shard dispatch (``1`` runs shards
+    one after another; ``None`` uses a thread per shard, at most the
+    CPU count but at least two).
+    """
+
+    def __init__(
+        self,
+        executor: ShardExecutor,
+        shards: Optional[int] = 2,
+        max_attempts: int = 3,
+        parallelism: Optional[int] = None,
+    ) -> None:
+        if shards is not None and shards < 1:
+            raise ValueError("shards must be >= 1 (or None to autotune)")
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
+        if parallelism is not None and parallelism < 1:
+            raise ValueError("parallelism must be >= 1 (or None)")
+        self.executor = executor
+        self.shards = shards
+        self.max_attempts = max_attempts
+        self.parallelism = parallelism
+
+    @property
+    def name(self) -> str:
+        label = "auto" if self.shards is None else str(self.shards)
+        return f"distributed-{self.executor.name}[{label}]"
+
     def resolve(self, spec: ScenarioSpec) -> int:
         """The shard count this backend will use for one cell."""
-        return 1
+        if self.shards is not None:
+            return self.shards
+        return resolve_shards(spec.members)
 
-    # -- the executor seam ----------------------------------------------
     def submit(self, plan: ScenarioPlan) -> ShardResult:
-        raise NotImplementedError
+        """Execute one shard plan, retrying a lost worker."""
+        last: Optional[WorkerLostError] = None
+        for attempt in range(self.max_attempts):
+            try:
+                return self.executor.run_attempt(plan, attempt)
+            except WorkerLostError as exc:
+                last = exc
+        raise ShardExhaustedError(
+            f"shard {plan.shard_id}: lost {self.max_attempts} worker(s); "
+            f"last: {last}"
+        ) from last
 
     def submit_all(
         self,
         plans: Sequence[ScenarioPlan],
         on_result: Optional[ResultSink] = None,
     ) -> List[ShardResult]:
-        """Execute a batch of shard plans; default is sequential."""
+        """Execute a batch of shard plans, streaming each result into
+        ``on_result`` as it lands; results come back in shard order."""
+        if len(plans) <= 1 or self.parallelism == 1:
+            results = []
+            for plan in plans:
+                result = self.submit(plan)
+                if on_result is not None:
+                    on_result(result)
+                results.append(result)
+            return results
+        workers = self.parallelism or min(
+            len(plans), max(2, os.cpu_count() or 2)
+        )
         results = []
-        for plan in plans:
-            result = self.submit(plan)
-            if on_result is not None:
-                on_result(result)
-            results.append(result)
+        first_error: Optional[BaseException] = None
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(self.submit, plan) for plan in plans]
+            # as_completed streams shards home as they land; on_result
+            # (the checkpoint write) runs here on the calling thread, so
+            # the SQLite connection never crosses threads.  An exhausted
+            # shard must not discard its siblings: every completed shard
+            # is still delivered (and so checkpointed) before the first
+            # error propagates — that durability is exactly what makes
+            # the subsequent resume cheap.
+            for future in as_completed(futures):
+                try:
+                    result = future.result()
+                except BaseException as exc:  # noqa: BLE001 — re-raised
+                    if first_error is None:
+                        first_error = exc
+                    continue
+                if on_result is not None:
+                    on_result(result)
+                results.append(result)
+        if first_error is not None:
+            raise first_error
+        results.sort(key=lambda result: result.shard_id)
         return results
 
 
-class SerialBackend(ExecutorBackend):
-    """The single-kernel path: one fleet, one telemetry hub, in-process.
+class SerialBackend(DistributedBackend):
+    """The single-kernel preset: one shard, one attempt, in-process.
 
     Routes its one shard through the same merge as every other backend,
     so serial and sharded reports are structurally identical and their
@@ -239,8 +346,7 @@ class SerialBackend(ExecutorBackend):
 
     name = "serial"
 
-    def submit(self, plan: ScenarioPlan) -> ShardResult:
-        return ShardResult(
-            shard_id=plan.shard_id, payload=execute_plan(plan),
-            worker="inline",
+    def __init__(self) -> None:
+        super().__init__(
+            InlineExecutor(), shards=1, max_attempts=1, parallelism=1,
         )

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..obs.history import RunHistory
 from ..scenarios.spec import ScenarioSpec, spec_hash
-from .backends import ExecutionBackend, ShardResult
+from .backends import DistributedBackend, ShardResult
 from .report import CampaignReport
 
 __all__ = [
@@ -92,7 +92,7 @@ class CampaignCheckpoint:
         campaign_id: Optional[str],
         spec: ScenarioSpec,
         seed: int,
-        backend: ExecutionBackend,
+        backend: DistributedBackend,
     ) -> CellHandle:
         """Register (or re-open) one cell and pin its shard resolution.
 
@@ -101,7 +101,7 @@ class CampaignCheckpoint:
         otherwise); ``resolved_shards`` records the *decision*, which
         every later sitting reuses.
         """
-        requested = getattr(backend, "shards", None)
+        requested = backend.shards
         row = self.history.begin_campaign_cell(
             campaign_id=campaign_id or new_campaign_id(),
             spec_hash=spec_hash(spec),
@@ -239,7 +239,7 @@ class CampaignCheckpoint:
 def resume_campaign(
     campaign_id: str,
     store: Union[RunHistory, str, CampaignCheckpoint],
-    backend: Optional[ExecutionBackend] = None,
+    backend: Optional[DistributedBackend] = None,
 ) -> List[CampaignReport]:
     """Re-drive every cell of a checkpointed campaign to completion.
 

@@ -27,12 +27,10 @@ import sys
 from typing import List, Optional
 
 from ..obs.history import DEFAULT_DB
-from .backends import SerialBackend
+from .backends import DistributedBackend, InlineExecutor, SerialBackend
 from .checkpoint import CampaignCheckpoint, new_campaign_id, resume_campaign
 from .core import Campaign
 from .distributed import (
-    DistributedBackend,
-    InlineExecutor,
     ProcessWorkerExecutor,
     ShardWorkerServer,
     SocketWorkerExecutor,

@@ -2,8 +2,8 @@
 
 A :class:`Campaign` is a scenario × seed *plan* — scenarios given as
 library names or :class:`~repro.scenarios.ScenarioSpec` objects —
-executed by a pluggable
-:class:`~repro.campaign.backends.ExecutorBackend`.
+executed by a :class:`~repro.campaign.backends.DistributedBackend` over
+a pluggable shard executor (:class:`SerialBackend` by default).
 
     from repro.campaign import (
         Campaign, DistributedBackend, ProcessWorkerExecutor,
@@ -15,10 +15,10 @@ executed by a pluggable
         DistributedBackend(ProcessWorkerExecutor(), shards=4)
     )
 
-Every backend flows through :func:`execute_cell` — THE
+Every cell flows through :func:`execute_cell` — THE
 orchestration path: build the placement plan, resolve the shard count,
 partition, skip shards a checkpoint already holds, submit the rest
-through the backend's executor seam, merge.  Attaching a
+through the backend's executor, merge.  Attaching a
 :class:`~repro.campaign.checkpoint.CampaignCheckpoint` makes every
 completed shard durable, so an interrupted campaign resumes where it
 stopped with a byte-identical ``telemetry_digest``.
@@ -28,19 +28,14 @@ from __future__ import annotations
 
 import time as wallclock
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..runtime.fleet import FleetReport
 from ..scenarios.compile import CompiledScenario
 from ..scenarios.library import get_scenario
 from ..scenarios.plan import build_plan, partition_plan
 from ..scenarios.spec import ScenarioSpec
-from .backends import (
-    ExecutionBackend,
-    SerialBackend,
-    ShardResult,
-    execute_plan_detailed,
-)
+from .backends import DistributedBackend, SerialBackend, ShardResult
 from .report import CampaignReport, merge_shard_results
 
 ScenarioLike = Union[str, ScenarioSpec]
@@ -54,13 +49,32 @@ def _resolve_scenario(scenario: ScenarioLike, scale: float = 1.0) -> ScenarioSpe
     return spec
 
 
+def _merge(
+    spec: ScenarioSpec,
+    seed: int,
+    backend: str,
+    payloads: List[Dict[str, Any]],
+    start: float,
+) -> CampaignReport:
+    """Fold one cell's shard payloads (in shard order) into its report."""
+    return merge_shard_results(
+        scenario=spec.name,
+        seed=seed,
+        backend=backend,
+        shards=len(payloads),
+        results=payloads,
+        wall_seconds=wallclock.perf_counter() - start,
+        reservoir=spec.telemetry_reservoir,
+    )
+
+
 # ----------------------------------------------------------------------
 # THE orchestration path
 # ----------------------------------------------------------------------
 def execute_cell(
     spec: ScenarioSpec,
     seed: int,
-    backend: Optional[ExecutionBackend] = None,
+    backend: Optional[DistributedBackend] = None,
     checkpoint: Optional[Any] = None,
     campaign_id: Optional[str] = None,
 ) -> CampaignReport:
@@ -106,14 +120,8 @@ def execute_cell(
         list(completed.values()) + list(fresh),
         key=lambda result: result.shard_id,
     )
-    report = merge_shard_results(
-        scenario=spec.name,
-        seed=seed,
-        backend=engine.name,
-        shards=len(plans),
-        results=[result.payload for result in results],
-        wall_seconds=wallclock.perf_counter() - start,
-        reservoir=spec.telemetry_reservoir,
+    report = _merge(
+        spec, seed, engine.name, [result.payload for result in results], start,
     )
     if cell is not None:
         checkpoint.finish_cell(cell, report)
@@ -123,7 +131,7 @@ def execute_cell(
 def run_cell(
     scenario: ScenarioLike,
     seed: int = 0,
-    backend: Optional[ExecutionBackend] = None,
+    backend: Optional[DistributedBackend] = None,
     checkpoint: Optional[Any] = None,
     campaign_id: Optional[str] = None,
 ) -> CampaignReport:
@@ -147,7 +155,6 @@ class CellExecution:
     report: CampaignReport
     fleet_report: FleetReport
     compiled: CompiledScenario
-    shard_result: ShardResult
 
     @property
     def span_recorder(self):
@@ -164,20 +171,13 @@ def run_cell_detailed(scenario: ScenarioLike, seed: int = 0) -> CellExecution:
     spec = _resolve_scenario(scenario)
     start = wallclock.perf_counter()
     plan = build_plan(spec, seed)
-    payload, fleet_report, compiled = execute_plan_detailed(plan)
-    result = ShardResult(shard_id=0, payload=payload, worker="inline")
-    report = merge_shard_results(
-        scenario=spec.name,
-        seed=seed,
-        backend=SerialBackend.name,
-        shards=1,
-        results=[payload],
-        wall_seconds=wallclock.perf_counter() - start,
-        reservoir=spec.telemetry_reservoir,
+    compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
+    fleet_report = compiled.run()
+    report = _merge(
+        spec, seed, SerialBackend.name, [fleet_report.to_json()], start,
     )
     return CellExecution(
         report=report, fleet_report=fleet_report, compiled=compiled,
-        shard_result=result,
     )
 
 
@@ -189,14 +189,14 @@ class Campaign:
         scenarios: Union[ScenarioLike, Iterable[ScenarioLike]],
         seeds: Iterable[int] = (0,),
         scale: float = 1.0,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[DistributedBackend] = None,
     ) -> None:
         if isinstance(scenarios, (str, ScenarioSpec)):
             scenarios = [scenarios]
         if scale <= 0:
             raise ValueError("scale must be > 0")
         self.scale = scale
-        self.backend: ExecutionBackend = backend or SerialBackend()
+        self.backend: DistributedBackend = backend or SerialBackend()
         specs = [self._resolve(scenario) for scenario in scenarios]
         seeds = [int(seed) for seed in seeds]
         if not specs:
@@ -217,7 +217,7 @@ class Campaign:
         self,
         scenario: ScenarioLike,
         seed: int = 0,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[DistributedBackend] = None,
         checkpoint: Optional[Any] = None,
         campaign_id: Optional[str] = None,
     ) -> CampaignReport:
@@ -241,7 +241,7 @@ class Campaign:
 
     def run(
         self,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[DistributedBackend] = None,
         checkpoint: Optional[Any] = None,
         campaign_id: Optional[str] = None,
     ) -> List[CampaignReport]:

@@ -1,47 +1,37 @@
-"""Distributed campaign execution: shard plans dispatched to workers.
+"""Out-of-process shard executors: worker processes and socket workers.
 
-The PR 9 tentpole.  A :class:`DistributedBackend` plugs a *shard
-executor* — the thing that runs ONE plan attempt somewhere — into the
-same orchestration path every backend shares
-(:func:`repro.campaign.core.execute_cell`), and adds the fault
-tolerance a multi-worker run needs:
+A shard executor runs ONE attempt of one shard plan somewhere and
+raises :class:`~repro.campaign.backends.WorkerLostError` when that
+somewhere dies; :class:`~repro.campaign.backends.DistributedBackend`
+retries the attempt on a fresh worker up to ``max_attempts`` times.
+Four executors ship: ``InlineExecutor`` (in-process,
+:mod:`repro.campaign.backends`), the service's ``StreamingExecutor``
+(:mod:`repro.service.jobs`), and the two here, which move the
+simulation out of the calling process:
 
-* **worker-loss detection** — the per-process executor gives every
-  shard attempt its own worker process and a pipe; the worker
-  heartbeats from a side thread while the shard simulates, and the
-  parent treats a silent pipe (no heartbeat within
-  ``heartbeat_timeout``) or an EOF (the process died) as a lost
-  worker, never as a lost campaign;
-* **bounded retry with reassignment** — :meth:`DistributedBackend.
-  submit` re-runs a lost shard up to ``max_attempts`` times, each
-  attempt on a fresh worker (a new process, or the next address in a
-  socket worker pool), and raises :class:`ShardExhaustedError` only
-  when every attempt died;
-* **determinism under faults** — a shard's payload is a pure function
-  of its plan, so which attempt finally lands it cannot perturb the
-  merged ``telemetry_digest``; :class:`WorkerFaultInjector` makes that
-  claim testable in CI by deterministically killing chosen shards on
-  their early attempts.
-
-Three executors ship:
-
-:class:`InlineExecutor`
-    Runs plans in-process; injected kills surface as
-    :class:`WorkerLostError`.  The cheap way to exercise retry and
-    checkpoint logic (and the fallback for 1-CPU containers).
 :class:`ProcessWorkerExecutor`
-    One OS process per shard attempt, heartbeat over a pipe, injected
-    kills are *real* (``os._exit``) — the loss path CI verifies.
+    One OS process per shard attempt.  The worker heartbeats over a
+    pipe from a side thread while the shard simulates; the parent treats
+    a silent pipe (no heartbeat within ``heartbeat_timeout``) or an EOF
+    (the process died) as a lost worker, never as a lost campaign.
+    Injected kills are *real* (``os._exit``) — the loss path CI
+    verifies.
 :class:`SocketWorkerExecutor` / :class:`ShardWorkerServer`
     Newline-delimited JSON over TCP using the plan wire form
     (:meth:`~repro.scenarios.plan.ScenarioPlan.to_json`), so a worker
     on another host — ``python -m repro.campaign worker`` — executes
-    the byte-identical placement decisions.
+    the byte-identical placement decisions.  Attempts rotate through
+    the worker pool, so a retry lands on a different worker.
 
-Combined with a :class:`~repro.campaign.checkpoint.CampaignCheckpoint`
-(every completed shard durable as it lands) this is the ROADMAP
-"beyond one box" story: kill the driver mid-campaign, ``resume`` on
-any box, get the digest an uninterrupted run would have produced.
+A shard's payload is a pure function of its plan, so which attempt
+finally lands it cannot perturb the merged ``telemetry_digest``;
+:class:`~repro.campaign.backends.WorkerFaultInjector` makes that claim
+testable in CI by deterministically killing chosen shards on their
+early attempts.  Combined with a
+:class:`~repro.campaign.checkpoint.CampaignCheckpoint` (every completed
+shard durable as it lands) this is the ROADMAP "beyond one box" story:
+kill the campaign process mid-run, ``resume`` on any box, get the
+digest an uninterrupted run would have produced.
 """
 
 from __future__ import annotations
@@ -50,103 +40,27 @@ import json
 import os
 import socket
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import multiprocessing
 
 from ..scenarios.plan import ScenarioPlan
-from ..scenarios.spec import ScenarioSpec
 from .backends import (
-    ExecutorBackend,
-    ResultSink,
     ShardResult,
+    WorkerFaultInjector,
+    WorkerLostError,
     execute_plan,
-    resolve_shards,
 )
 
 __all__ = [
-    "DistributedBackend",
-    "InlineExecutor",
     "ProcessWorkerExecutor",
-    "ShardExecutor",
-    "ShardExhaustedError",
     "ShardWorkerServer",
     "SocketWorkerExecutor",
-    "WorkerFaultInjector",
-    "WorkerLostError",
 ]
 
 #: Exit code an injected kill dies with (distinguishable from crashes
 #: in worker logs; the parent treats any silent death the same way).
 KILL_EXIT_CODE = 87
-
-
-class WorkerLostError(RuntimeError):
-    """One shard attempt's worker died or went silent; retryable."""
-
-
-class ShardExhaustedError(RuntimeError):
-    """Every allowed attempt for one shard lost its worker."""
-
-
-@dataclass(frozen=True)
-class WorkerFaultInjector:
-    """Deterministic worker killer for fault-tolerance tests.
-
-    Kills the worker of every shard in ``kill_shards`` on its first
-    ``kills`` attempts (attempts count from 0), then lets retries
-    succeed.  A pure function of ``(shard_id, attempt)`` — no clocks,
-    no randomness — so a CI failure replays exactly.  Picklable, so it
-    rides into spawned worker processes.
-    """
-
-    kill_shards: Tuple[int, ...] = ()
-    kills: int = 1
-
-    def should_kill(self, shard_id: int, attempt: int) -> bool:
-        return shard_id in self.kill_shards and attempt < self.kills
-
-
-class ShardExecutor(Protocol):
-    """Runs one shard-plan attempt somewhere; raises
-    :class:`WorkerLostError` when that somewhere dies."""
-
-    name: str
-
-    def run_attempt(self, plan: ScenarioPlan, attempt: int) -> ShardResult: ...
-
-
-# ----------------------------------------------------------------------
-# in-process executor
-# ----------------------------------------------------------------------
-class InlineExecutor:
-    """Run shard attempts in the driver process.
-
-    Functionally the serial path with the distributed seams attached:
-    injected kills raise :class:`WorkerLostError`, so retry, attempt
-    provenance, and checkpoint behaviour are all exercised without
-    process machinery — including on 1-CPU containers.
-    """
-
-    name = "inline"
-
-    def __init__(self, fault_injector: Optional[WorkerFaultInjector] = None):
-        self.fault_injector = fault_injector
-
-    def run_attempt(self, plan: ScenarioPlan, attempt: int) -> ShardResult:
-        if (
-            self.fault_injector is not None
-            and self.fault_injector.should_kill(plan.shard_id, attempt)
-        ):
-            raise WorkerLostError(
-                f"shard {plan.shard_id} attempt {attempt}: injected loss"
-            )
-        return ShardResult(
-            shard_id=plan.shard_id, payload=execute_plan(plan),
-            attempt=attempt, worker="inline",
-        )
 
 
 # ----------------------------------------------------------------------
@@ -409,12 +323,17 @@ class SocketWorkerExecutor:
                 f"shard {plan.shard_id} attempt {attempt}: worker {where} "
                 f"unreachable ({exc})"
             )
-        if not line:
+        # A worker that dies mid-answer leaves an empty or truncated
+        # line: that is a lost worker too, and so retryable.
+        try:
+            if not line.endswith(b"\n"):
+                raise ValueError("no complete answer line")
+            response = json.loads(line)
+        except ValueError as exc:
             raise WorkerLostError(
                 f"shard {plan.shard_id} attempt {attempt}: worker {where} "
-                "closed the connection mid-shard"
-            )
-        response = json.loads(line.decode("utf-8"))
+                f"closed the connection mid-shard ({exc})"
+            ) from exc
         if not response.get("ok"):
             raise WorkerLostError(
                 f"shard {plan.shard_id} attempt {attempt}: worker {where} "
@@ -426,95 +345,3 @@ class SocketWorkerExecutor:
             attempt=attempt,
             worker=response.get("worker", f"socket:{where}"),
         )
-
-
-# ----------------------------------------------------------------------
-# the backend
-# ----------------------------------------------------------------------
-class DistributedBackend(ExecutorBackend):
-    """Campaign execution over a pluggable shard executor, with bounded
-    retry and concurrent dispatch.
-
-    ``shards=None`` autotunes via :func:`~repro.campaign.backends.
-    resolve_shards` (the decision lands in the checkpoint row like any
-    other backend's).  ``max_attempts`` bounds how many workers one
-    shard may consume before the cell fails loudly with
-    :class:`ShardExhaustedError` — a lost worker is retryable, a shard
-    that kills every worker it touches is a bug to surface, not mask.
-    """
-
-    def __init__(
-        self,
-        executor: Optional[ShardExecutor] = None,
-        shards: Optional[int] = 2,
-        max_attempts: int = 3,
-        parallelism: Optional[int] = None,
-    ) -> None:
-        if shards is not None and shards < 1:
-            raise ValueError("shards must be >= 1 (or None to autotune)")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if parallelism is not None and parallelism < 1:
-            raise ValueError("parallelism must be >= 1 (or None)")
-        self.executor: ShardExecutor = executor or ProcessWorkerExecutor()
-        self.shards = shards
-        self.max_attempts = max_attempts
-        self.parallelism = parallelism
-
-    @property
-    def name(self) -> str:
-        label = "auto" if self.shards is None else str(self.shards)
-        return f"distributed-{self.executor.name}[{label}]"
-
-    def resolve(self, spec: ScenarioSpec) -> int:
-        if self.shards is not None:
-            return self.shards
-        return resolve_shards(spec.members)
-
-    def submit(self, plan: ScenarioPlan) -> ShardResult:
-        last: Optional[WorkerLostError] = None
-        for attempt in range(self.max_attempts):
-            try:
-                return self.executor.run_attempt(plan, attempt)
-            except WorkerLostError as exc:
-                last = exc
-        raise ShardExhaustedError(
-            f"shard {plan.shard_id}: lost {self.max_attempts} worker(s); "
-            f"last: {last}"
-        ) from last
-
-    def submit_all(
-        self,
-        plans: Sequence[ScenarioPlan],
-        on_result: Optional[ResultSink] = None,
-    ) -> List[ShardResult]:
-        if len(plans) <= 1 or self.parallelism == 1:
-            return super().submit_all(plans, on_result=on_result)
-        workers = self.parallelism or min(
-            len(plans), max(2, os.cpu_count() or 2)
-        )
-        results: List[ShardResult] = []
-        first_error: Optional[BaseException] = None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(self.submit, plan) for plan in plans]
-            # as_completed streams shards home as they land; on_result
-            # (the checkpoint write) runs here on the driver thread, so
-            # the SQLite connection never crosses threads.  An exhausted
-            # shard must not discard its siblings: every completed shard
-            # is still delivered (and so checkpointed) before the first
-            # error propagates — that durability is exactly what makes
-            # the subsequent resume cheap.
-            for future in as_completed(futures):
-                try:
-                    result = future.result()
-                except BaseException as exc:  # noqa: BLE001 — re-raised
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                if on_result is not None:
-                    on_result(result)
-                results.append(result)
-        if first_error is not None:
-            raise first_error
-        results.sort(key=lambda result: result.shard_id)
-        return results

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Optional, Tuple
 
 from ..campaign.core import run_cell, run_cell_detailed
-from ..campaign.distributed import DistributedBackend, InlineExecutor
+from ..campaign.backends import DistributedBackend, InlineExecutor
 from ..campaign.report import CampaignReport
 from ..scenarios.spec import ScenarioSpec
 from .coverage import coverage_keys

@@ -4,8 +4,6 @@ This package is the scale layer the ROADMAP's north star asks for:
 
 * :mod:`repro.runtime.bus` — :class:`EventBus`, the one publish/subscribe
   plane that the kernel, trace, probes, and awareness observers all ride;
-* :mod:`repro.runtime.registry` — :class:`ServiceRegistry`, typed
-  replacement for the old ``kernel.registry`` dict;
 * :mod:`repro.runtime.fleet` — :class:`MonitorFleet` running hundreds
   of monitored SUOs on one kernel with deterministic per-SUO random
   streams (campaigns over it go through :mod:`repro.campaign`);
@@ -22,7 +20,6 @@ bus — so eager import would cycle.
 from __future__ import annotations
 
 from .bus import EventBus, Subscription
-from .registry import ServiceRegistry, TOPIC_PROVIDE
 from .telemetry import (
     CounterSet,
     FleetTelemetry,
@@ -41,10 +38,8 @@ __all__ = [
     "FleetTelemetry",
     "MonitorFleet",
     "ReservoirHistogram",
-    "ServiceRegistry",
     "Subscription",
     "SuoTally",
-    "TOPIC_PROVIDE",
     "WindowedRate",
     "build_fleet_report",
 ]

@@ -3,7 +3,7 @@
 The seed wired every observation path differently — the kernel had
 ``_dispatch_hooks``, the trace kept its own subscriber list, the SUOs
 exposed ad-hoc ``*_hooks`` lists, and collaborators found each other
-through the untyped ``kernel.registry`` dict.  :class:`EventBus` unifies
+through an untyped registry dict.  :class:`EventBus` unifies
 all of them behind one topic-based API so that the awareness framework's
 probes and observers (paper Sect. 4.1, Fig. 2) attach to *topics*, not to
 concrete objects, and so that many SUOs can share one kernel (the

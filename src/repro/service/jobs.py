@@ -4,7 +4,7 @@ A :class:`JobManager` owns a bounded worker pool and a SQLite-backed
 :class:`~repro.obs.history.RunHistory` path.  Each submitted job is a
 scenario × seed grid; every cell executes through THE orchestration
 path — :func:`repro.campaign.core.execute_cell` with a
-:class:`~repro.campaign.distributed.DistributedBackend` whose
+:class:`~repro.campaign.backends.DistributedBackend` whose
 :class:`ShardExecutor` is the :class:`StreamingExecutor` below — so a
 job run over HTTP is checkpointed shard-by-shard exactly like a CLI
 campaign, and its merged ``telemetry_digest`` / ``span_digest`` are
@@ -38,8 +38,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..campaign.checkpoint import CampaignCheckpoint
 from ..campaign.core import execute_cell
-from ..campaign.distributed import DistributedBackend
-from ..campaign.backends import ShardResult, execute_plan_segmented
+from ..campaign.backends import (
+    DistributedBackend,
+    ShardResult,
+    execute_plan_segmented,
+)
 from ..campaign.report import CampaignReport
 from ..obs.history import RunHistory
 from ..scenarios.library import get_scenario
@@ -67,7 +70,7 @@ TERMINAL_STATES = frozenset({"complete", "failed", "cancelled"})
 class JobCancelled(RuntimeError):
     """Raised inside a job thread when its cancel flag is set.
 
-    Deliberately NOT a :class:`~repro.campaign.distributed.
+    Deliberately NOT a :class:`~repro.campaign.backends.
     WorkerLostError`: the distributed backend retries lost workers, but
     a cancellation must propagate straight out of ``submit_all``.
     """

@@ -42,7 +42,6 @@ import itertools
 from typing import Callable, List, Optional, Tuple
 
 from ..runtime.bus import EventBus
-from ..runtime.registry import ServiceRegistry
 
 #: Bus topic carrying every dispatched :class:`Event`.
 DISPATCH_TOPIC = "kernel.dispatch"
@@ -171,10 +170,6 @@ class Kernel:
         #: The shared runtime event bus (dispatch trace, SUO observables,
         #: fleet campaign telemetry all ride on it).
         self.bus = bus or EventBus()
-        #: Typed per-simulation service registry (see
-        #: :class:`~repro.runtime.registry.ServiceRegistry`); still usable
-        #: as a plain mapping for backwards compatibility.
-        self.registry = ServiceRegistry(self.bus)
         #: Count of cancelled events still sitting in the heap.
         self._cancelled_debt = 0
         self.compactions = 0

@@ -10,6 +10,7 @@ dropped socket), and retried within a bound.
 
 import json
 import socket
+import threading
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from repro.campaign import (
     DistributedBackend,
     InlineExecutor,
     ProcessWorkerExecutor,
+    SerialBackend,
     ShardExhaustedError,
     ShardResult,
     ShardWorkerServer,
@@ -75,6 +77,12 @@ def test_exhausted_shard_raises_instead_of_merging_partial():
         run_cell(small_spec(), 5, backend=backend)
 
 
+def _payload_json(result):
+    payload = dict(result.payload)
+    payload.pop("wall_seconds")
+    return json.dumps(payload, sort_keys=True)
+
+
 def test_distributed_inline_matches_serial_digest():
     serial = run_cell(small_spec(), 5)
     backend = DistributedBackend(
@@ -83,6 +91,14 @@ def test_distributed_inline_matches_serial_digest():
     report = run_cell(small_spec(), 5, backend=backend)
     assert report.telemetry_digest == serial.telemetry_digest
     assert report.shards == 3
+    # SerialBackend is the one-shard inline preset: its shard payload is
+    # byte-identical to the general backend's, for every SUO kind.
+    for name in ("zapping-storm", "player-seek-stress", "printer-burst"):
+        plan = build_plan(get_scenario(name).scaled(0.25), 5)
+        preset = SerialBackend().submit(plan)
+        general = DistributedBackend(InlineExecutor(), shards=1).submit(plan)
+        assert _payload_json(preset) == _payload_json(general), name
+        assert (preset.attempt, preset.worker) == (0, "inline")
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +210,50 @@ def test_socket_worker_answers_malformed_requests_and_keeps_serving():
     for payload in (reply["payload"], local):
         payload.pop("wall_seconds")
     assert reply["payload"] == local
+
+
+class TruncatingPeer:
+    """A socket worker that dies mid-answer: it reads the request, writes
+    the first bytes of a reply and hangs up."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.address = self.sock.getsockname()[:2]
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _peer = self.sock.accept()
+            except OSError:
+                return
+            with conn, conn.makefile("rwb") as stream:
+                stream.readline()
+                stream.write(b'{"ok": true, "payl')
+
+    def close(self):
+        self.sock.close()
+
+
+def test_truncated_socket_answer_is_a_lost_worker_and_retried():
+    serial = run_cell(small_spec(), 5)
+    peer = TruncatingPeer()
+    healthy = ShardWorkerServer()
+    healthy.serve_in_background()
+    try:
+        # shard 0's attempt 0 lands on the truncating peer, attempt 1 on
+        # the healthy worker.
+        backend = DistributedBackend(
+            SocketWorkerExecutor([peer.address, healthy.address]), shards=1,
+        )
+        result = backend.submit(build_plan(small_spec(), 5))
+        report = run_cell(small_spec(), 5, backend=backend)
+    finally:
+        peer.close()
+        healthy.close()
+    assert result.attempt == 1
+    assert report.telemetry_digest == serial.telemetry_digest
+    assert report.span_digest == serial.span_digest
 
 
 def test_unreachable_socket_worker_is_a_worker_lost_error():
@@ -312,6 +372,16 @@ def test_autotune_decision_is_recorded_in_the_checkpoint_row(tmp_path):
     assert cell["requested_shards"] == "auto"
     assert cell["resolved_shards"] == resolve_shards(spec.members)
     assert cell["completed_shards"] == cell["resolved_shards"]
+
+
+def test_serial_cell_records_one_requested_shard(tmp_path):
+    """Serial never autotunes, so its checkpoint row says so."""
+    db = str(tmp_path / "checkpoint.sqlite")
+    with CampaignCheckpoint(db) as checkpoint:
+        run_cell(small_spec(), 5, checkpoint=checkpoint, campaign_id="s")
+        cell = checkpoint.status("s")["cells"][0]
+    assert cell["requested_shards"] == "1"
+    assert cell["resolved_shards"] == 1
 
 
 def test_retried_shard_appends_attempts_never_overwrites(tmp_path):

@@ -1,13 +1,11 @@
-"""Tests for the runtime EventBus and ServiceRegistry.
+"""Tests for the runtime EventBus.
 
 The bus is the one publish/subscribe plane under the whole stack, so its
 contract matters: topic isolation, deterministic order, safe mutation
 during dispatch, wildcard namespaces, and a genuinely cheap silent path.
 """
 
-import pytest
-
-from repro.runtime import EventBus, ServiceRegistry, TOPIC_PROVIDE
+from repro.runtime import EventBus
 from repro.sim import DISPATCH_TOPIC, Kernel
 
 
@@ -171,30 +169,6 @@ def test_kernel_dispatch_topic_carries_events():
     kernel.schedule(2.0, lambda: None, name="b")
     kernel.run()
     assert seen == ["a", "b"]
-
-
-# ----------------------------------------------------------------------
-# service registry
-# ----------------------------------------------------------------------
-def test_registry_mapping_compatibility_and_typed_resolve():
-    kernel = Kernel()
-    registry = kernel.registry
-    registry["trace"] = "not-really-a-trace"
-    assert registry["trace"] == "not-really-a-trace"
-    assert "trace" in registry
-    assert registry.resolve("trace", str) == "not-really-a-trace"
-    with pytest.raises(TypeError):
-        registry.resolve("trace", int)
-    assert registry.resolve("missing", default=42) == 42
-
-
-def test_registry_announces_on_bus():
-    bus = EventBus()
-    registry = ServiceRegistry(bus)
-    announced = []
-    bus.subscribe(TOPIC_PROVIDE, lambda t, e: announced.append(e))
-    registry.provide("svc", 123)
-    assert announced == [("svc", 123)]
 
 
 # ----------------------------------------------------------------------
