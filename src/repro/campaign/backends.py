@@ -34,13 +34,17 @@ in CI):
 
 from __future__ import annotations
 
+import gc
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -157,8 +161,94 @@ def execute_plan_segmented(
     :class:`~repro.runtime.telemetry.FleetTelemetry` snapshots for its
     NDJSON stream and checks for cancellation.
     """
-    compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
-    return compiled.run_segmented(segments, on_segment=on_segment).to_json()
+    with _CELL_HEAP.run():
+        compiled = _CELL_HEAP.compile(plan)
+        try:
+            return compiled.run_segmented(
+                segments, on_segment=on_segment
+            ).to_json()
+        finally:
+            # After to_json() built the payload, and before the run ends:
+            # an end-of-run collection frees the fleet only once its last
+            # reference is gone.
+            compiled.close()
+            del compiled
+
+
+class _CellHeap:
+    """The collector policy around every plan run in this process.
+
+    A compiled fleet is up to a few hundred thousand long-lived objects,
+    and a full collection during its build or its run walks all of them
+    to free nothing.  So the collector is paused while a fleet compiles,
+    and the heap is frozen (:func:`gc.freeze`) once it is built.  When
+    the last in-flight run ends the heap is unfrozen, and collected once
+    the fleets built since the previous collection amount to a quarter
+    of the rest of the heap (CPython's own trigger for a full
+    collection).  A large fleet is therefore freed as soon as its run
+    ends; small ones are freed a few at a time, so a short cell does
+    not pay a walk of the whole heap.
+    :meth:`CompiledScenario.close` ended the finished fleets' processes
+    first, so no generator finalizer resurrects them and one collection
+    frees them.
+
+    Process-wide because the collector is: the counts are
+    lock-guarded, so concurrent runs (the service's job threads, a
+    threaded shard dispatch) compose.  A run that ends while another is
+    in flight leaves its closed fleet frozen until the last one ends;
+    the pause restores whatever :func:`gc.isenabled` said before the
+    first of any overlapping compiles.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._runs = 0
+        self._compiles = 0
+        self._was_enabled = True
+        #: Objects compiled since the last end-of-run collection.
+        self._built = 0
+
+    @contextmanager
+    def run(self) -> Iterator[None]:
+        with self._lock:
+            self._runs += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._runs -= 1
+                if self._runs == 0:
+                    frozen = gc.get_freeze_count()
+                    gc.unfreeze()
+                    if 4 * self._built >= frozen - self._built:
+                        self._built = 0
+                        gc.collect()
+
+    def compile(self, plan: ScenarioPlan) -> CompiledScenario:
+        with self._lock:
+            if self._compiles == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._compiles += 1
+        built = 0
+        try:
+            compiled = CompiledScenario(plan.spec, plan.seed, plan=plan)
+            # With the collector paused every object the build added is
+            # still counted in generation 0.  Frozen before the collector
+            # resumes: they would otherwise all be young, and the next
+            # allocation would walk every one of them.
+            built = gc.get_count()[0]
+            gc.freeze()
+        finally:
+            with self._lock:
+                self._compiles -= 1
+                self._built += built
+                if self._compiles == 0 and self._was_enabled:
+                    gc.enable()
+        return compiled
+
+
+_CELL_HEAP = _CellHeap()
 
 
 #: Callback invoked with each completed :class:`ShardResult` as it

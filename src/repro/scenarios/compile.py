@@ -427,6 +427,14 @@ class CompiledScenario:
                 )
 
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """End the fleet's simulation (:meth:`Kernel.close`): every
+        suspended process is closed and every pending event dropped, so
+        the finished fleet is garbage one collection can free.  Call it
+        once the last report is built; the scenario cannot run after.
+        Idempotent."""
+        self.fleet.kernel.close()
+
     def run(self) -> FleetReport:
         """Drive the campaign for one ``spec.duration`` segment.
 

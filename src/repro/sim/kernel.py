@@ -39,9 +39,12 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..runtime.bus import EventBus
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .process import Process
 
 #: Bus topic carrying every dispatched :class:`Event`.
 DISPATCH_TOPIC = "kernel.dispatch"
@@ -165,7 +168,6 @@ class Kernel:
         self._queue: List[QueueEntry] = []
         self._seq = itertools.count()
         self._now = 0.0
-        self._running = False
         self.dispatched_count = 0
         #: The shared runtime event bus (dispatch trace, SUO observables,
         #: fleet campaign telemetry all ride on it).
@@ -175,6 +177,9 @@ class Kernel:
         self.compactions = 0
         #: Recycled transient Event objects (bounded).
         self._free: List[Event] = []
+        #: Live processes in creation order; a process registers itself
+        #: and drops out when it finishes (see :meth:`close`).
+        self._processes: Dict[Process, None] = {}
 
     # ------------------------------------------------------------------
     # time
@@ -378,56 +383,52 @@ class Kernel:
         recycle = self._recycle
         hooks_version = -1
         hooks: tuple = ()
-        self._running = True
-        try:
-            while queue:
-                head = queue[0]
-                batch_time = head[0]
-                if head[3].cancelled:
-                    event = pop(queue)[3]
+        while queue:
+            head = queue[0]
+            batch_time = head[0]
+            if head[3].cancelled:
+                event = pop(queue)[3]
+                self._cancelled_debt -= 1
+                if event.transient:
+                    recycle(event)
+                else:
+                    event.owner = None
+                continue
+            if until is not None and batch_time > until:
+                break
+            if batch_time < self._now:
+                raise SimulationError(
+                    "event queue corrupted: time moved backwards"
+                )
+            self._now = batch_time
+            if bus.version != hooks_version:
+                hooks_version = bus.version
+                hooks = bus.snapshot(DISPATCH_TOPIC)
+            while True:
+                event = pop(queue)[3]
+                if event.cancelled:
                     self._cancelled_debt -= 1
                     if event.transient:
                         recycle(event)
                     else:
                         event.owner = None
-                    continue
-                if until is not None and batch_time > until:
-                    break
-                if batch_time < self._now:
-                    raise SimulationError(
-                        "event queue corrupted: time moved backwards"
-                    )
-                self._now = batch_time
-                if bus.version != hooks_version:
-                    hooks_version = bus.version
-                    hooks = bus.snapshot(DISPATCH_TOPIC)
-                while True:
-                    event = pop(queue)[3]
-                    if event.cancelled:
-                        self._cancelled_debt -= 1
-                        if event.transient:
-                            recycle(event)
-                        else:
-                            event.owner = None
+                else:
+                    callback = event.callback
+                    if hooks:
+                        for hook in hooks:
+                            hook(DISPATCH_TOPIC, event)
+                        event.owner = None
+                    elif event.transient:
+                        recycle(event)
                     else:
-                        callback = event.callback
-                        if hooks:
-                            for hook in hooks:
-                                hook(DISPATCH_TOPIC, event)
-                            event.owner = None
-                        elif event.transient:
-                            recycle(event)
-                        else:
-                            event.owner = None
-                        self.dispatched_count += 1
-                        callback()
-                        dispatched += 1
-                        if dispatched == limit:
-                            return dispatched
-                    if not queue or queue[0][0] != batch_time:
-                        break
-        finally:
-            self._running = False
+                        event.owner = None
+                    self.dispatched_count += 1
+                    callback()
+                    dispatched += 1
+                    if dispatched == limit:
+                        return dispatched
+                if not queue or queue[0][0] != batch_time:
+                    break
         if until is not None and self._now < until:
             self._now = until
         return dispatched
@@ -454,6 +455,47 @@ class Kernel:
     def pending_count(self) -> int:
         """Number of non-cancelled events still queued (O(1))."""
         return len(self._queue) - self._cancelled_debt
+
+    # ------------------------------------------------------------------
+    # teardown
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """End the simulation: close every live process, drop every event.
+
+        Call it once nothing more is read from the run.  A suspended
+        process generator keeps its frame, and with it the fleet state
+        its ``finally:`` blocks touch; left to the garbage collector,
+        those finalizers resurrect the whole object graph for one more
+        pass.  Closing them here instead lets one collection free it.
+
+        Every live process is marked dead *before* any generator is
+        closed, so a ``finally:`` that releases a resource, fires a
+        signal or kills a sibling cannot resume another process being
+        closed.  Processes end without ``on_exit`` hooks or exit
+        watchers firing, and anything a ``finally:`` schedules is
+        discarded with the rest of the queue.  A generator that ignores
+        ``GeneratorExit`` (or raises while closing) is reported as a
+        :class:`SimulationError` naming the process, after every other
+        process has been closed.  Idempotent.
+        """
+        processes = list(self._processes)
+        self._processes.clear()
+        for process in processes:
+            process.alive = False
+        failure = None
+        for process in processes:
+            try:
+                process.generator.close()
+            except Exception as exc:  # noqa: BLE001 — reported below
+                failure = failure or (process, exc)
+        self._queue.clear()
+        self._free.clear()
+        self._cancelled_debt = 0
+        if failure is not None:
+            process, exc = failure
+            raise SimulationError(
+                f"process {process.name} did not close: {exc}"
+            ) from exc
 
 
 def _NOOP() -> None:  # recycled events point here until reassigned

@@ -90,12 +90,16 @@ class Process:
     (kernel freelist reuse): :meth:`_resume` drops ``_pending_event``
     before touching the generator, and :meth:`interrupt` only cancels
     still-pending timers, so no reference outlives the dispatch.
+
+    The kernel owns its processes: a process registers with it on
+    construction and drops out when it finishes, so
+    :meth:`Kernel.close` can end every one still suspended.
     """
 
     __slots__ = (
         "kernel", "name", "generator", "alive", "result", "exception",
         "_on_exit", "_exit_watchers", "_pending_event", "_waiting_signal",
-        "_wake", "_wake_name",
+        "_waiting_request", "_wake", "_wake_name",
     )
 
     def __init__(
@@ -115,8 +119,11 @@ class Process:
         self._exit_watchers: List[Process] = []
         self._pending_event = None
         self._waiting_signal: Optional[Signal] = None
+        #: The queued resource or store request (Acquire / GetItem).
+        self._waiting_request: Any = None
         self._wake: Callable[[], None] = lambda: self._resume(None)
         self._wake_name = f"wake:{name}"
+        kernel._processes[self] = None
         kernel.schedule(0.0, self._wake, name=f"start:{name}", transient=True)
 
     # ------------------------------------------------------------------
@@ -125,6 +132,7 @@ class Process:
             return
         self._pending_event = None
         self._waiting_signal = None
+        self._waiting_request = None
         try:
             request = self.generator.send(value)
         except StopIteration as stop:
@@ -155,16 +163,22 @@ class Process:
             else:
                 request._exit_watchers.append(self)
             return
-        # Acquire requests are handled by the resource itself (duck-typed so
-        # sim.resources does not import this module circularly).
+        # Acquire / GetItem requests are handled by the resource itself
+        # (duck-typed so sim.resources does not import this module
+        # circularly): ``_submit`` queues the process, ``_withdraw``
+        # dequeues it when the process is interrupted while waiting.
         handler = getattr(request, "_submit", None)
         if handler is not None:
+            # Recorded before submitting: an immediate grant resumes the
+            # process, which clears it again.
+            self._waiting_request = request
             handler(self)
             return
         raise SimulationError(f"process {self.name} yielded unsupported request {request!r}")
 
     def _finish(self, result: Any = None, exception: Optional[BaseException] = None) -> None:
         self.alive = False
+        self.kernel._processes.pop(self, None)
         self.result = result
         self.exception = exception
         watchers, self._exit_watchers = self._exit_watchers, []
@@ -190,6 +204,9 @@ class Process:
         if self._waiting_signal is not None:
             self._waiting_signal._remove_waiter(self)
             self._waiting_signal = None
+        if self._waiting_request is not None:
+            self._waiting_request._withdraw(self)
+            self._waiting_request = None
         try:
             request = self.generator.throw(Interrupted(reason))
         except StopIteration as stop:

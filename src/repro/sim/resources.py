@@ -51,6 +51,9 @@ class Acquire:
     def _submit(self, process: Any) -> None:
         self.resource._enqueue(process, self.priority)
 
+    def _withdraw(self, process: Any) -> None:
+        self.resource.drop_waiter(process)
+
 
 class Resource:
     """A counting resource with run-time adjustable capacity.
@@ -141,7 +144,7 @@ class Resource:
             process._resume(self)
 
     def drop_waiter(self, process: Any) -> None:
-        """Remove a killed process from the wait queue (recovery path)."""
+        """Remove an interrupted process from the wait queue."""
         self._waiters = [w for w in self._waiters if w[2] is not process]
         heapq.heapify(self._waiters)
 
@@ -156,6 +159,9 @@ class GetItem:
 
     def _submit(self, process: Any) -> None:
         self.store._enqueue_getter(process)
+
+    def _withdraw(self, process: Any) -> None:
+        self.store.drop_getter(process)
 
 
 class Store:
@@ -213,7 +219,7 @@ class Store:
             process._resume(item)
 
     def drop_getter(self, process: Any) -> None:
-        """Remove a killed process from the getter queue."""
+        """Remove an interrupted process from the getter queue."""
         self._getters = [g for g in self._getters if g is not process]
 
     def clear(self) -> int:

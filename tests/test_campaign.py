@@ -7,7 +7,10 @@ per-shard trace digests reproduce across reruns, and the Campaign
 plan/grid semantics hold.
 """
 
+import gc
 import json
+import sys
+import threading
 
 import pytest
 
@@ -20,8 +23,16 @@ from repro.campaign import (
     run_cell,
     format_campaign_table,
 )
+from repro.campaign.backends import execute_plan_segmented
+from repro.printer.engine import Printer
 from repro.runtime.telemetry import FleetTelemetry, mergeable_summary
-from repro.scenarios import FaultPhase, SCENARIOS, ScenarioSpec, UserProfile, build_plan, partition_plan
+from repro.scenarios import (
+    FaultPhase, SCENARIOS, ScenarioSpec, UserProfile, build_plan,
+    get_scenario, partition_plan,
+)
+from repro.sim import Kernel
+from repro.tv.mediaplayer import MediaPlayer
+from repro.tv.tvset import TVSet
 
 SMALL = ScenarioSpec(
     name="campaign-small",
@@ -228,3 +239,73 @@ def test_single_shard_request_runs_in_process():
     assert report.shards == 1
     assert report.telemetry_digest == serial.telemetry_digest
     assert report.shard_trace_digests == serial.shard_trace_digests
+
+
+# ----------------------------------------------------------------------
+# cell-scoped heap: a finished cell's fleet is freed in one collection
+# ----------------------------------------------------------------------
+def _fleet_objects():
+    kinds = (TVSet, MediaPlayer, Printer, Kernel)
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, kinds))
+
+
+def _settled_heap():
+    while gc.collect():  # earlier tests' garbage may take several passes
+        pass
+    # Not 0 on every interpreter: a full collection on CPython 3.12
+    # leaves a few hundred interpreter objects in the frozen generation.
+    return _fleet_objects(), gc.get_freeze_count()
+
+
+def _assert_heap_released(before):
+    objects, frozen = before
+    gc.collect()
+    assert _fleet_objects() <= objects
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize(
+    "name", ["zapping-storm", "printer-burst", "player-seek-stress"]
+)
+def test_one_collection_frees_a_finished_cell(name):
+    before = _settled_heap()
+    run_cell(name, 0)
+    _assert_heap_released(before)
+
+
+def test_overlapping_cells_on_threads_match_serial_and_release_the_heap():
+    """Cells running on concurrent threads share the process-wide
+    collector policy: each digest equals the serial run's, and once the
+    last one ends the heap is unfrozen, collectable and collecting."""
+    names = ["zapping-storm", "player-seek-stress", "printer-burst", "zapping-storm"]
+    serial = [run_cell(name, 0).shard_trace_digests[0] for name in names]
+    before = _settled_heap()
+    barrier = threading.Barrier(len(names), timeout=60)
+    digests = [None] * len(names)
+
+    def on_segment(compiled, index, now):
+        if index == 0:
+            barrier.wait()  # every cell is compiled and in flight
+
+    def run(slot, name):
+        plan = build_plan(get_scenario(name), 0)
+        payload = execute_plan_segmented(plan, 2, on_segment=on_segment)
+        digests[slot] = payload["trace_digest"]
+
+    threads = [
+        threading.Thread(target=run, args=(slot, name))
+        for slot, name in enumerate(names)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert digests == serial
+    _assert_heap_released(before)

@@ -1,7 +1,12 @@
 """Tests for generator-based processes, signals, and interrupts."""
 
 
-from repro.sim import Delay, Interrupted, Kernel, Process, Signal, WaitSignal
+import pytest
+
+from repro.sim import (
+    Delay, Interrupted, Kernel, Process, Resource, Signal, SimulationError,
+    WaitSignal,
+)
 
 
 def test_process_runs_and_finishes():
@@ -167,3 +172,127 @@ def test_interrupted_while_waiting_on_signal_removed_from_waiters():
     kernel.run(until=1.0)
     process.kill("gone")
     assert signal.fire() == 0  # no waiters left
+
+
+# ----------------------------------------------------------------------
+# Kernel.close: the end of a simulation
+# ----------------------------------------------------------------------
+def _sleeper(kernel, log, name):
+    def body():
+        try:
+            yield Delay(100.0)
+        finally:
+            log.append(name)
+
+    return Process(kernel, body(), name=name)
+
+
+def test_kernel_tracks_live_processes_only():
+    kernel = Kernel()
+
+    def short():
+        yield Delay(1.0)
+
+    done = Process(kernel, short(), name="short")
+    killed = _sleeper(kernel, [], "killed")
+    running = _sleeper(kernel, [], "running")
+    kernel.run(until=2.0)
+    killed.kill()
+    assert not done.alive and not killed.alive
+    assert list(kernel._processes) == [running]
+
+
+def test_close_runs_finally_blocks_and_discards_what_they_schedule():
+    kernel = Kernel()
+    fired = []
+
+    def body():
+        try:
+            yield Delay(100.0)
+        finally:
+            kernel.schedule(0.0, lambda: fired.append("late"))
+
+    process = Process(kernel, body(), name="worker")
+    kernel.run(until=1.0)
+    kernel.close()
+    assert not process.alive
+    assert kernel.pending_count() == 0 and kernel.queue_size() == 0
+    kernel.run()
+    assert fired == []
+
+
+def test_close_does_not_resume_a_waiter_released_in_a_finally():
+    """A closing holder's ``finally:`` releases the resource; the
+    waiter queued behind it is being closed too and must not run."""
+    kernel = Kernel()
+    core = Resource(kernel, capacity=1, name="core")
+    steps = []
+
+    def holder():
+        yield core.acquire()
+        try:
+            yield Delay(100.0)
+        finally:
+            core.release()
+
+    def waiter():
+        yield core.acquire()
+        steps.append("granted")
+
+    Process(kernel, holder(), name="holder")
+    blocked = Process(kernel, waiter(), name="waiter")
+    kernel.run(until=1.0)
+    assert core.queue_length() == 1
+    kernel.close()
+    assert steps == []
+    assert not blocked.alive and core.in_use == 0
+
+
+def test_close_fires_neither_on_exit_nor_exit_watchers():
+    kernel = Kernel()
+    exits, watched = [], []
+
+    def sleeper():
+        yield Delay(100.0)
+
+    target = Process(kernel, sleeper(), name="target", on_exit=exits.append)
+
+    def watcher():
+        watched.append((yield target))
+
+    Process(kernel, watcher(), name="watcher")
+    kernel.run(until=1.0)
+    kernel.close()
+    assert exits == [] and watched == []
+    assert target.result is None and target.exception is None
+
+
+def test_close_names_a_process_that_ignores_generator_exit():
+    kernel = Kernel()
+    log = []
+
+    def stubborn():
+        try:
+            yield Delay(1.0)
+        except GeneratorExit:
+            pass
+        yield Delay(1.0)  # ignores one close; a second one ends it
+
+    Process(kernel, stubborn(), name="stubborn")
+    _sleeper(kernel, log, "polite")
+    kernel.run(until=0.5)
+    with pytest.raises(SimulationError, match="stubborn"):
+        kernel.close()
+    assert log == ["polite"]  # the others were still closed
+    assert kernel.pending_count() == 0
+
+
+def test_close_is_idempotent():
+    kernel = Kernel()
+    log = []
+    _sleeper(kernel, log, "worker")
+    kernel.run(until=1.0)
+    kernel.close()
+    kernel.close()
+    assert log == ["worker"]
+    assert kernel.pending_count() == 0

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import Delay, Kernel, Process, Resource, SimulationError, Store
+from repro.sim import (
+    Delay, Interrupted, Kernel, Process, Resource, SimulationError, Store,
+)
 
 
 def _holder(kernel, resource, held, hold_time=2.0, priority=0):
@@ -194,3 +196,48 @@ def test_dead_waiter_skipped_on_grant():
     kernel.run()
     assert "doomed" not in grants
     assert len(grants) == 2  # blocker grant + second holder grant
+
+
+def test_interrupted_waiter_leaves_the_resource_queue():
+    """A waiter that survives an interrupt is no longer queued: the
+    holder's release must not hand it a unit while it sleeps elsewhere."""
+    kernel = Kernel()
+    core = Resource(kernel, capacity=1, name="core")
+    _holder(kernel, core, [], hold_time=10.0)
+    woken = []
+
+    def waiter():
+        try:
+            yield core.acquire()
+        except Interrupted:
+            value = yield Delay(20.0)
+            woken.append((kernel.now, value))
+
+    process = Process(kernel, waiter(), name="waiter")
+    kernel.schedule(5.0, lambda: process.interrupt("test"))
+    kernel.run(until=10.0)
+    assert core.queue_length() == 0
+    kernel.run()
+    assert woken == [(25.0, None)]
+    assert core.in_use == 0
+    assert kernel.pending_count() == 0
+
+
+def test_interrupted_getter_leaves_the_store_queue():
+    kernel = Kernel()
+    store = Store(kernel, name="queue")
+    got = []
+
+    def getter():
+        try:
+            yield store.get()
+        except Interrupted:
+            got.append((yield Delay(20.0)))
+
+    process = Process(kernel, getter(), name="getter")
+    kernel.schedule(5.0, lambda: process.interrupt("test"))
+    kernel.schedule(10.0, lambda: store.put("frame"))
+    kernel.run()
+    assert got == [None]
+    assert store.items == ["frame"]
+    assert kernel.now == 25.0
