@@ -9,12 +9,13 @@ analysis in :mod:`repro.devtools.fmea`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from .component import Component, ComponentError
 from .interface import Port
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Configuration:
@@ -93,8 +94,11 @@ class Configuration:
         """Directed graph: edge A→B when A requires something B provides.
 
         This is the input to the architecture-level FMEA (Sect. 4.7): error
-        propagation follows these edges.
+        propagation follows these edges.  networkx is imported here, not
+        at module level, so the simulation path never loads it.
         """
+        import networkx as nx
+
         graph = nx.DiGraph()
         for component in self:
             graph.add_node(component.name)
@@ -104,6 +108,8 @@ class Configuration:
 
     def dependents_of(self, name: str) -> List[str]:
         """Components that (transitively) depend on ``name``."""
+        import networkx as nx
+
         graph = self.dependency_graph()
         reversed_graph = graph.reverse()
         return sorted(nx.descendants(reversed_graph, name))

@@ -28,6 +28,7 @@ import os
 import sqlite3
 import subprocess
 from datetime import datetime, timezone
+from functools import lru_cache
 from typing import Any, Dict, List, Optional
 
 #: The store every CLI and the service open unless told otherwise.
@@ -134,8 +135,15 @@ CREATE INDEX IF NOT EXISTS idx_campaign_shards_cell
 """
 
 
+@lru_cache(maxsize=8)
 def current_git_rev(cwd: Optional[str] = None) -> Optional[str]:
-    """The checkout's HEAD commit, or None outside a repo / without git."""
+    """The checkout's HEAD commit, or None outside a repo / without git.
+
+    Resolved once per process for each ``cwd``: a process runs the code
+    it imported, so the revision at its first record is the one every
+    later record (one per checkpointed cell, one per service campaign)
+    should carry, without a ``git`` subprocess each time.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],

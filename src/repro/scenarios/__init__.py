@@ -21,6 +21,7 @@ from .compile import CompiledScenario, FAULT_ACTIONS
 from .exercise import (
     EXERCISE_GAP,
     EXERCISE_KEYS,
+    EXERCISE_SCRIPT,
     exercise_profile,
     tv_exercise_script,
     uncovered_by_exercise,
@@ -52,6 +53,7 @@ __all__ = [
     "CompiledScenario",
     "EXERCISE_GAP",
     "EXERCISE_KEYS",
+    "EXERCISE_SCRIPT",
     "FAULT_ACTIONS",
     "FaultPhase",
     "KNOWN_FAULTS",

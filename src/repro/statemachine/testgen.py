@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .events import Event
 from .machine import Machine
 from .check import ModelChecker
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 #: One transition-coverage key: ``(source-config, target-config, event)``
@@ -88,7 +89,14 @@ class TestGenerator:
 
     # ------------------------------------------------------------------
     def _explore(self) -> nx.MultiDiGraph:
-        """Build the reachable LTS: nodes are state keys, edges are events."""
+        """Build the reachable LTS: nodes are state keys, edges are events.
+
+        networkx is imported here, not at module level: the package
+        re-exports this class, and the simulation path must not pay for
+        a graph library only the offline tools use.
+        """
+        import networkx as nx
+
         checker = ModelChecker(self.machine, self.alphabet, max_states=self.max_states)
         graph = nx.MultiDiGraph()
         initial = self.machine.snapshot()

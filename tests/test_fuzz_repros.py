@@ -18,15 +18,20 @@ These tests pin both sides:
   gap;
 * the exercise script itself is deterministic, alphabet-legal, and
   covers every key-triggered spec transition that is structurally
-  reachable (so a control-model change cannot silently shrink it).
+  reachable (so a control-model change cannot silently shrink it);
+* the library registers ``fuzz-latent-volume`` from the pinned
+  ``EXERCISE_SCRIPT``, which must equal a fresh search (so a model
+  change that moves the search result fails here instead of drifting).
 """
 
 from repro.fuzz import classify, evaluate_candidate
 from repro.scenarios import (
     EXERCISE_KEYS,
+    EXERCISE_SCRIPT,
     ScenarioSpec,
     exercise_profile,
     get_scenario,
+    spec_hash,
     tv_exercise_script,
     uncovered_by_exercise,
 )
@@ -142,6 +147,14 @@ class TestExerciseScript:
         # ``*-locked`` guard variants (no locked channels by default).
         for name in uncovered_by_exercise():
             assert name.startswith("alert") or "-locked" in name, name
+
+    def test_pinned_script_matches_the_search(self):
+        assert EXERCISE_SCRIPT == tv_exercise_script()
+        spec = get_scenario("fuzz-latent-volume")
+        assert spec.profiles[0] == exercise_profile()
+        assert spec_hash(spec) == (
+            "d8c4a9f26e9393db1e26d5004835ab2d6ab02752b5a303ec8d72a6b29f12ec8d"
+        )
 
     def test_exercise_profile_is_a_valid_scripted_profile(self):
         profile = exercise_profile()

@@ -7,8 +7,8 @@ flagged against a healthy prior window, while a fresh store (no
 history) must stay silent.
 """
 
+import subprocess
 from dataclasses import replace
-
 
 from repro.campaign import run_cell
 from repro.obs.history import RunHistory, current_git_rev
@@ -127,6 +127,32 @@ def test_current_git_rev_in_this_checkout():
         c in "0123456789abcdef" for c in rev
     ))
     assert current_git_rev(cwd="/nonexistent-dir") is None
+
+
+def test_git_rev_is_resolved_once_per_process(tmp_path, monkeypatch):
+    """Five checkpointed cells start one ``git rev-parse``, not five."""
+    calls = []
+    real_run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    current_git_rev.cache_clear()
+    try:
+        with RunHistory(str(tmp_path / "h.sqlite")) as history:
+            rows = [
+                history.begin_campaign_cell(
+                    "camp", f"hash{seed}", "tv-fleet", seed, None, None, 1,
+                    "{}",
+                )
+                for seed in range(5)
+            ]
+    finally:
+        current_git_rev.cache_clear()
+    assert calls == [["git", "rev-parse", "HEAD"]]
+    assert len({row["git_rev"] for row in rows}) == 1
 
 
 # ----------------------------------------------------------------------
