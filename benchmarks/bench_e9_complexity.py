@@ -87,8 +87,6 @@ def test_e9_test_budget_vs_coverage(benchmark):
     testing is the product — the gap is the paper's argument."""
 
     def measure():
-        import networkx as nx
-
         spec = build_tv_model(channel_count=3)
         alphabet = [
             Event(name)
@@ -97,13 +95,21 @@ def test_e9_test_budget_vs_coverage(benchmark):
         generator = TestGenerator(spec, alphabet, max_states=qscale(20000, 8000))
         scenarios = generator.generate(max_scenarios=qscale(200, 100))
         total_presses = sum(len(s) for s in scenarios)
-        graph = generator._graph
-        states = graph.number_of_nodes()
+        edges = generator.coverage_keys()
+        successors = {}
+        for source, target, _ in edges:
+            successors.setdefault(source, set()).add(target)
         # Exhaustive probing: every (state, input) pair needs its own test
         # run — reset, drive to the state (its BFS depth), press the input.
-        depths = nx.single_source_shortest_path_length(
-            graph, generator._initial_key
-        )
+        depths = {generator._initial_key: 0}
+        frontier = [generator._initial_key]
+        while frontier:
+            node = frontier.pop(0)
+            for target in successors.get(node, ()):
+                if target not in depths:
+                    depths[target] = depths[node] + 1
+                    frontier.append(target)
+        states = len(depths)
         exhaustive = sum(
             (depth + 1) * len(alphabet) for depth in depths.values()
         )

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import networkx as nx
-
 from ..koala.binding import Configuration
 
 
@@ -62,7 +60,6 @@ class ArchitectureFmea:
         #: Severity weight of each *user-facing* component's loss; derived
         #: from perception studies in the full pipeline.
         self.user_facing_severity = dict(user_facing_severity or {})
-        self._graph = configuration.dependency_graph()
 
     # ------------------------------------------------------------------
     def affected_by(self, component: str) -> List[str]:
@@ -71,10 +68,7 @@ class ArchitectureFmea:
         Effects flow against the dependency direction: whoever *requires*
         (directly or transitively) the failed component is affected.
         """
-        if component not in self._graph:
-            return []
-        reversed_graph = self._graph.reverse()
-        return sorted(nx.descendants(reversed_graph, component))
+        return self.configuration.dependents_of(component)
 
     def user_severity_of(self, component: str) -> float:
         """Combined user-facing severity when ``component`` fails."""

@@ -9,13 +9,11 @@ analysis in :mod:`repro.devtools.fmea`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
+from collections import deque
+from typing import Dict, Iterator, List, Set, Tuple
 
 from .component import Component, ComponentError
 from .interface import Port
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 class Configuration:
@@ -90,26 +88,29 @@ class Configuration:
             component.stop()
 
     # ------------------------------------------------------------------
-    def dependency_graph(self) -> "nx.DiGraph":
-        """Directed graph: edge A→B when A requires something B provides.
+    def dependency_graph(self) -> Dict[str, Set[str]]:
+        """Adjacency mapping: ``B in graph[A]`` when A requires something
+        B provides; every component is a key.
 
         This is the input to the architecture-level FMEA (Sect. 4.7): error
-        propagation follows these edges.  networkx is imported here, not
-        at module level, so the simulation path never loads it.
+        propagation follows these edges.
         """
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for component in self:
-            graph.add_node(component.name)
+        graph: Dict[str, Set[str]] = {name: set() for name in self.components}
         for req, prov in self.bindings:
-            graph.add_edge(req.component.name, prov.component.name, interface=req.itype.name)
+            graph[req.component.name].add(prov.component.name)
         return graph
 
     def dependents_of(self, name: str) -> List[str]:
-        """Components that (transitively) depend on ``name``."""
-        import networkx as nx
-
-        graph = self.dependency_graph()
-        reversed_graph = graph.reverse()
-        return sorted(nx.descendants(reversed_graph, name))
+        """Components that (transitively) depend on ``name``; empty for
+        a name that is not in the configuration."""
+        dependents: Dict[str, Set[str]] = {}
+        for req, prov in self.bindings:
+            dependents.setdefault(prov.component.name, set()).add(req.component.name)
+        seen = {name}
+        queue = deque([name])
+        while queue:
+            for consumer in dependents.get(queue.popleft(), ()):
+                if consumer not in seen:
+                    seen.add(consumer)
+                    queue.append(consumer)
+        return sorted(seen - {name})

@@ -150,10 +150,11 @@ def tv_exercise_script(
     Pure function of its arguments: the search is breadth-first with a
     fixed key order, so the same script comes back on every call (the
     fuzz determinism gate depends on that).  A search costs about
-    0.1-0.25 s on a shared 2-CPU host (CPython 3.11); under cProfile half
-    of that is ``copy.deepcopy`` in ``Machine.restore``.  It runs only on
-    demand: the scenario library registers its default result from
-    :data:`EXERCISE_SCRIPT`.  The result is cached.
+    0.06 s on a shared 2-CPU host (CPython 3.11.7); under cProfile half
+    of that is ``Machine.dispatch`` and a quarter the fire-count diff
+    after each press.  It runs only on demand: the scenario
+    library registers its default result from :data:`EXERCISE_SCRIPT`.
+    The result is cached.
     """
     committed = build_tv_model(channel_count=channel_count)
     committed.initialize()

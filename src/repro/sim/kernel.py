@@ -326,31 +326,7 @@ class Kernel:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Dispatch the single next event.  Returns False if queue empty."""
-        queue = self._queue
-        while queue:
-            event = heapq.heappop(queue)[3]
-            if event.cancelled:
-                self._cancelled_debt -= 1
-                if event.transient:
-                    self._recycle(event)
-                else:
-                    event.owner = None
-                continue
-            if event.time < self._now:
-                raise SimulationError("event queue corrupted: time moved backwards")
-            self._now = event.time
-            hooks = self.bus.snapshot(DISPATCH_TOPIC)
-            for hook in hooks:
-                hook(DISPATCH_TOPIC, event)
-            self.dispatched_count += 1
-            callback = event.callback
-            if event.transient and not hooks:
-                self._recycle(event)
-            else:
-                event.owner = None
-            callback()
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events``.

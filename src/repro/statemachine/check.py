@@ -21,11 +21,12 @@ is model checking of the *executable* semantics, not of an abstraction.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from .events import Event
-from .machine import Machine
+from .machine import Machine, Snapshot
 from .states import State
 
 
@@ -83,10 +84,11 @@ class ModelChecker:
 
     # ------------------------------------------------------------------
     def _state_key(self) -> Tuple[str, str]:
-        snapshot = self.machine.snapshot()
-        vars_key = repr(sorted(snapshot["vars"].items(), key=lambda kv: kv[0]))
-        timer_key = repr(sorted(name for _, name, _ in snapshot["timers"]))
-        return (snapshot["active"] or "", vars_key + "|" + timer_key)
+        machine = self.machine
+        vars_key = repr(sorted(machine.vars.items()))
+        timer_key = repr(sorted(t.transition.name for t in machine._timers))
+        active = machine.active.full_name() if machine.active else ""
+        return (active, vars_key + "|" + timer_key)
 
     def _actions(self) -> List[Event]:
         actions = list(self.alphabet)
@@ -110,14 +112,14 @@ class ModelChecker:
         initial = self.machine.snapshot()
         visited: Set[Tuple[str, str]] = set()
         reached_configs: Set[str] = set()
-        frontier: List[Tuple[Dict[str, Any], List[str]]] = [(initial, [])]
+        frontier: Deque[Tuple[Snapshot, List[str]]] = deque([(initial, [])])
         visited.add(self._state_key())
 
         while frontier:
             if len(visited) >= self.max_states:
                 report.truncated = True
                 break
-            snapshot, trace = frontier.pop(0)
+            snapshot, trace = frontier.popleft()
             self.machine.restore(snapshot)
             reached_configs.add(self.machine.configuration())
             self._check_invariants(report, trace)

@@ -18,7 +18,6 @@ model object directly, which has the same observable behaviour.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -45,6 +44,16 @@ class _Timer:
     deadline: float
     transition: Transition
     armed_in: State
+
+
+#: What :meth:`Machine.snapshot` returns and :meth:`Machine.restore` takes.
+Snapshot = Tuple[
+    State,
+    Optional[State],
+    Tuple[Tuple[str, Any], ...],
+    float,
+    Tuple[Tuple[float, Transition, State], ...],
+]
 
 
 class Machine:
@@ -346,33 +355,39 @@ class Machine:
         return min(t.deadline for t in self._timers)
 
     # ------------------------------------------------------------------
-    # snapshots (model checking, checkpointing)
+    # snapshots (model checking, test generation)
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Serializable machine state (for exploration and checkpoints)."""
-        return {
-            "active": self.active.full_name() if self.active else None,
-            "vars": copy.deepcopy(self.vars),
-            "time": self.time,
-            "timers": [
-                (t.deadline, t.transition.name, t.armed_in.full_name())
-                for t in self._timers
-            ],
-        }
+    def snapshot(self) -> Snapshot:
+        """Immutable run state of this machine (for exploration).
 
-    def restore(self, snapshot: Dict[str, Any]) -> None:
-        """Restore a snapshot taken from this same machine structure."""
-        self.vars = copy.deepcopy(snapshot["vars"])
-        self.time = snapshot["time"]
-        active_name = snapshot["active"]
-        self.active = self._find_state(active_name) if active_name else None
-        self._timers = []
-        by_name = {t.name: t for t in self.all_transitions()}
-        for deadline, tname, sname in snapshot["timers"]:
-            transition = by_name[tname]
-            self._timers.append(
-                _Timer(deadline, transition, self._find_state(sname))
+        A flat tuple: the chart root, the active state, the vars as
+        sorted ``(name, value)`` pairs, the time, and the armed timers as
+        ``(deadline, transition, state)`` triples.  It shares the chart's
+        objects and copies nothing deep, so every var value must be
+        immutable; a mutable one (a list, a dict) raises
+        :class:`MachineError`.
+        """
+        items = tuple(sorted(self.vars.items()))
+        try:
+            hash(items)
+        except TypeError:
+            raise MachineError(
+                f"machine {self.name}: cannot snapshot mutable var values"
+            ) from None
+        timers = tuple((t.deadline, t.transition, t.armed_in) for t in self._timers)
+        return (self.root, self.active, items, self.time, timers)
+
+    def restore(self, snapshot: Snapshot) -> None:
+        """Restore a snapshot taken on this machine's chart."""
+        root, active, items, time, timers = snapshot
+        if root is not self.root:
+            raise MachineError(
+                f"machine {self.name}: snapshot belongs to another chart"
             )
+        self.active = active
+        self.vars = dict(items)
+        self.time = time
+        self._timers = [_Timer(*timer) for timer in timers]
 
     def reseed(
         self,

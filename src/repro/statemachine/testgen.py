@@ -12,19 +12,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .events import Event
 from .machine import Machine
-from .check import ModelChecker
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 #: One transition-coverage key: ``(source-config, target-config, event)``
 #: — an edge of the reachable labelled transition system.
 CoverageKey = Tuple[str, str, str]
+
+#: The reachable LTS: state key -> successor key -> the event names of
+#: the edges between them, in the order the exploration found them.
+Lts = Dict[str, Dict[str, List[str]]]
 
 
 @dataclass
@@ -83,53 +83,43 @@ class TestGenerator:
         self.machine = machine
         self.alphabet = list(alphabet)
         self.max_states = max_states
-        self._graph: Optional[nx.MultiDiGraph] = None
+        self._graph: Optional[Lts] = None
         self._initial_key: Optional[str] = None
         self._fired_names: Optional[frozenset] = None
 
     # ------------------------------------------------------------------
-    def _explore(self) -> nx.MultiDiGraph:
-        """Build the reachable LTS: nodes are state keys, edges are events.
-
-        networkx is imported here, not at module level: the package
-        re-exports this class, and the simulation path must not pay for
-        a graph library only the offline tools use.
-        """
-        import networkx as nx
-
-        checker = ModelChecker(self.machine, self.alphabet, max_states=self.max_states)
-        graph = nx.MultiDiGraph()
-        initial = self.machine.snapshot()
+    def _explore(self) -> Lts:
+        """Build the reachable LTS: nodes are state keys, edges are events."""
+        machine = self.machine
+        initial = machine.snapshot()
         initial_key = self._key()
         self._initial_key = initial_key
-        graph.add_node(initial_key)
+        graph: Lts = {initial_key: {}}
         visited = {initial_key: initial}
-        frontier = [initial_key]
+        frontier = deque([initial_key])
         while frontier and len(visited) < self.max_states:
-            key = frontier.pop(0)
+            key = frontier.popleft()
             snapshot = visited[key]
+            successors = graph[key]
             for event in self.alphabet:
-                self.machine.restore(snapshot)
-                fired = self.machine.dispatch(
-                    event.with_time(self.machine.time)
-                )
-                if not fired:
+                machine.restore(snapshot)
+                if not machine.dispatch(event.with_time(machine.time)):
                     continue
                 new_key = self._key()
                 if new_key not in visited:
-                    visited[new_key] = self.machine.snapshot()
-                    graph.add_node(new_key)
+                    visited[new_key] = machine.snapshot()
+                    graph[new_key] = {}
                     frontier.append(new_key)
-                graph.add_edge(key, new_key, event=event.name)
-        self.machine.restore(initial)
+                successors.setdefault(new_key, []).append(event.name)
+        machine.restore(initial)
         return graph
 
     def _key(self) -> str:
-        snapshot = self.machine.snapshot()
-        vars_key = repr(sorted(snapshot["vars"].items(), key=lambda kv: kv[0]))
-        return (snapshot["active"] or "") + "|" + vars_key
+        machine = self.machine
+        active = machine.active.full_name() if machine.active else ""
+        return active + "|" + repr(sorted(machine.vars.items()))
 
-    def _ensure_explored(self) -> nx.MultiDiGraph:
+    def _ensure_explored(self) -> Lts:
         """Explore once, caching the LTS and the set of machine
         transitions the walk exercised (by fire-count delta, so one
         O(transitions) diff instead of per-dispatch bookkeeping)."""
@@ -156,7 +146,10 @@ class TestGenerator:
         """
         graph = self._ensure_explored()
         return frozenset(
-            (u, v, data["event"]) for u, v, data in graph.edges(data=True)
+            (source, target, event)
+            for source, successors in graph.items()
+            for target, events in successors.items()
+            for event in events
         )
 
     def transition_names(self) -> frozenset:
@@ -204,7 +197,7 @@ class TestGenerator:
 
     def _cover_some(
         self,
-        graph: nx.MultiDiGraph,
+        graph: Lts,
         uncovered: Set[Tuple[str, str, str]],
         name: str,
     ) -> Optional[Scenario]:
@@ -234,7 +227,7 @@ class TestGenerator:
 
     def _nearest_uncovered(
         self,
-        graph: nx.MultiDiGraph,
+        graph: Lts,
         start: str,
         uncovered: Set[Tuple[str, str, str]],
     ) -> Optional[Tuple[List[Tuple[str, str, str]], str]]:
@@ -251,20 +244,21 @@ class TestGenerator:
         queue = deque([start])
         while queue:
             node = queue.popleft()
-            for _, successor, data in graph.out_edges(node, data=True):
-                edge = (node, successor, data["event"])
-                if edge in uncovered:
-                    path = [edge]
-                    step = node
-                    while step != start:
-                        step, parent_edge = parents[step]
-                        path.append(parent_edge)
-                    path.reverse()
-                    return path, successor
-                if successor not in seen:
-                    seen.add(successor)
-                    parents[successor] = (node, edge)
-                    queue.append(successor)
+            for successor, events in graph[node].items():
+                for event in events:
+                    edge = (node, successor, event)
+                    if edge in uncovered:
+                        path = [edge]
+                        step = node
+                        while step != start:
+                            step, parent_edge = parents[step]
+                            path.append(parent_edge)
+                        path.reverse()
+                        return path, successor
+                    if successor not in seen:
+                        seen.add(successor)
+                        parents[successor] = (node, edge)
+                        queue.append(successor)
         return None
 
     # ------------------------------------------------------------------

@@ -96,7 +96,7 @@ class TestConfiguration:
     def test_dependency_graph_edges(self):
         config = make_config()
         graph = config.dependency_graph()
-        assert graph.has_edge("client", "server")
+        assert "server" in graph["client"]
 
     def test_dependents_of(self):
         config = make_config()

@@ -161,9 +161,7 @@ class TestTestGenerator:
         covered = set()
         for scenario in scenarios:
             covered |= scenario.covers
-        graph = generator._graph
-        all_edges = {(u, v, d["event"]) for u, v, d in graph.edges(data=True)}
-        assert covered == all_edges
+        assert covered == generator.coverage_keys()
 
     def test_replay_returns_configurations(self):
         machine = toggle_machine()

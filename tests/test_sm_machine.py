@@ -234,13 +234,19 @@ class TestSnapshots:
         machine.advance(machine.time + 5.5)
         assert machine.configuration().endswith("viewing")
 
-    def test_vars_deep_copied(self):
+    def test_mutable_var_rejected(self):
+        """A snapshot shares var values instead of deep-copying them, so
+        a mutable value would leak later edits into it."""
         machine = simple_tv()
         machine.set("nested", {"a": 1})
-        snapshot = machine.snapshot()
-        machine.get("nested")["a"] = 2
-        machine.restore(snapshot)
-        assert machine.get("nested") == {"a": 1}
+        with pytest.raises(MachineError):
+            machine.snapshot()
+
+    def test_snapshot_from_another_chart_rejected(self):
+        machine = simple_tv()
+        clone = copy.deepcopy(machine)
+        with pytest.raises(MachineError):
+            clone.restore(machine.snapshot())
 
 
 class TestOutputs:

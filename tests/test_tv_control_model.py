@@ -158,6 +158,7 @@ class TestSpecModelChecking:
             )
         ] + [Event("digit", {"n": 2})]
         report = ModelChecker(spec, alphabet, max_states=4000).run()
+        assert report.truncated is False
         assert report.nondeterminism == []
         assert report.deadlocks == []
         assert report.violations == []
@@ -178,4 +179,19 @@ class TestSpecModelChecking:
         report = ModelChecker(
             spec, alphabet, invariants=[("no-dual-ttx", no_dual_ttx)], max_states=4000
         ).run()
+        assert report.truncated is False
         assert report.violations == []
+
+    def test_full_alphabet_reaches_every_state(self):
+        """All 17 chart events: the whole reachable space, with no
+        deadlock, no nondeterminism and no dead state."""
+        spec = build_tv_model(channel_count=3)
+        names = sorted(
+            {t.event for t in spec.all_transitions() if t.event} - {"digit"}
+        )
+        alphabet = [Event(name) for name in names] + [Event("digit", {"n": 2})]
+        assert len(alphabet) == 17
+        report = ModelChecker(spec, alphabet, max_states=40000).run()
+        assert report.truncated is False
+        assert report.states_explored == 34020
+        assert report.ok()

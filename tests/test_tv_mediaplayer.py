@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Kernel
+from repro.statemachine import Event, ModelChecker
 from repro.tv import (
     MediaPlayer,
     MediaSource,
@@ -112,6 +113,15 @@ class TestPlayerModel:
         assert expected_player_state(spec) == "playing"
         spec.inject("stop")
         assert expected_player_state(spec) == "stopped"
+
+    def test_model_check_over_full_alphabet(self):
+        alphabet = [
+            Event(name) for name in ("pause", "play", "progress", "seek", "stop")
+        ]
+        report = ModelChecker(build_player_model(), alphabet).run()
+        assert report.truncated is False
+        assert report.states_explored == 7
+        assert report.ok()
 
     def test_model_ignores_invalid_transitions(self):
         spec = build_player_model()
