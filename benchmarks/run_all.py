@@ -85,15 +85,15 @@ from repro.obs.history import DEFAULT_DB, RunHistory  # noqa: E402
 DEFAULT_HISTORY = os.path.join(REPO_ROOT, DEFAULT_DB)
 
 #: Throughput floor for the fleet and scenario probes, recorded after the
-#: dispatch hot-path overhaul (compiled bus tables, event freelists,
-#: telemetry burst folding).  The ``perf floor`` gates fail the run when a
-#: probe drops more than ``max_regression`` below these full-mode
-#: numbers.  Quick-mode runs on 1-CPU hosts skip the floor, same as the
-#: bench_e16 speedup guard: there the wall-clock numbers measure the
-#: container, not the runtime.  The fleet floor was re-set when the probe
-#: moved onto ``FLEET_SPEC`` through ``run_cell_detailed``: 0.855 x the
-#: best of 3 full-mode probes (144.5k events/sec, shared 2-CPU host), the
-#: ratio the first floor used (122k over 142.65k).
+#: dispatch hot-path overhaul (compiled bus tables, slotted events).  The
+#: ``perf floor`` gates fail the run when a probe drops more than
+#: ``max_regression`` below these full-mode numbers.  Quick-mode runs on
+#: 1-CPU hosts skip the floor, same as the bench_e16 speedup guard: there
+#: the wall-clock numbers measure the container, not the runtime.  The
+#: fleet floor was re-set when the probe moved onto ``FLEET_SPEC``
+#: through ``run_cell_detailed``: 0.855 x the best of 3 full-mode probes
+#: (144.5k events/sec, shared 2-CPU host), the ratio the first floor
+#: used (122k over 142.65k).
 PERF_FLOOR = {
     "fleet_events_per_sec": 123_600,
     "scenarios_events_per_sec": 137_000,

@@ -52,9 +52,7 @@ class MessageChannel:
         self._last_delivery_time = 0.0
         #: Delivery events still scheduled on the kernel (socket buffer).
         #: Only *undelivered* events live here (the front entry is popped
-        #: at delivery before any receiver runs), so the retained handles
-        #: are always still-pending and safe to cancel — which is what
-        #: makes ``transient=True`` delivery events sound.
+        #: at delivery before any receiver runs).
         self._in_flight: List[Any] = []
         self._event_name = f"chan:{name}"
 
@@ -73,7 +71,7 @@ class MessageChannel:
         self._last_delivery_time = deliver_at
         event = self.kernel.schedule_at(
             deliver_at, lambda: self._deliver(message),
-            name=self._event_name, transient=True,
+            name=self._event_name,
         )
         self._in_flight.append(event)
         return message

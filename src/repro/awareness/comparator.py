@@ -149,8 +149,7 @@ class Comparator:
     # -- time-based sampling ---------------------------------------------------
     def _schedule_timed(self, spec: ObservableSpec, epoch: int) -> None:
         # One closure per chain per epoch (it reschedules *itself*), not
-        # one per tick; the tick events are transient so the kernel can
-        # recycle them — nothing retains the handles, the epoch guard is
+        # one per tick; nothing retains the handles, the epoch guard is
         # what kills a stale chain.
         kernel = self.kernel
         schedule = kernel.schedule
@@ -162,9 +161,9 @@ class Comparator:
                 return
             self.executor.sync_time(kernel.now)
             self._compare_one(spec)
-            schedule(period, sample, name=name, transient=True)
+            schedule(period, sample, name=name)
 
-        schedule(period, sample, name=name, transient=True)
+        schedule(period, sample, name=name)
 
     # -- core comparison ------------------------------------------------------
     def _compare_one(self, spec: ObservableSpec) -> None:

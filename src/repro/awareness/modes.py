@@ -117,9 +117,7 @@ class ModeConsistencyChecker:
 
     # ------------------------------------------------------------------
     def _schedule(self) -> None:
-        self.kernel.schedule(
-            self.interval, self._sample, name=self.name, transient=True
-        )
+        self.kernel.schedule(self.interval, self._sample, name=self.name)
 
     def _sample(self) -> None:
         if not self.running:

@@ -10,42 +10,27 @@ detection technique (the Sect. 5 integration goal).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..core.contract import ErrorReport
-from ..runtime.bus import EventBus
 from .deadlock import DeadlockAlarm, DeadlockDetector
 from .hardware import MemoryAlarm, MemoryArbiterWatch, RangeChecker
 
 
 class _ErrorSource:
-    """Shared subscribe/emit plumbing.
-
-    ``connect_bus`` additionally mirrors every report onto a runtime-bus
-    topic (``errors.<detector>`` by convention), so fleet-level consumers
-    can aggregate error traffic from many detectors without holding
-    references to them.
-    """
+    """Shared subscribe/emit plumbing."""
 
     def __init__(self) -> None:
         self.reports: List[ErrorReport] = []
         self._listeners: List[Callable[[ErrorReport], None]] = []
-        self._bus: Optional[EventBus] = None
-        self._bus_topic: str = ""
 
     def subscribe_errors(self, listener: Callable[[ErrorReport], None]) -> None:
         self._listeners.append(listener)
-
-    def connect_bus(self, bus: EventBus, topic: str) -> None:
-        self._bus = bus
-        self._bus_topic = topic
 
     def _emit(self, report: ErrorReport) -> None:
         self.reports.append(report)
         for listener in self._listeners:
             listener(report)
-        if self._bus is not None:
-            self._bus.publish(self._bus_topic, report)
 
 
 class RangeCheckerSource(_ErrorSource):
@@ -81,9 +66,7 @@ class RangeCheckerSource(_ErrorSource):
         self.running = False
 
     def _schedule(self) -> None:
-        self.kernel.schedule(
-            self.interval, self._poll, name="range-source", transient=True
-        )
+        self.kernel.schedule(self.interval, self._poll, name="range-source")
 
     def _poll(self) -> None:
         if not self.running:

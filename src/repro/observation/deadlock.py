@@ -67,9 +67,7 @@ class DeadlockDetector:
         self._running = False
 
     def _schedule(self) -> None:
-        self.kernel.schedule(
-            self.interval, self._sample, name="deadlock-watch", transient=True
-        )
+        self.kernel.schedule(self.interval, self._sample, name="deadlock-watch")
 
     def _progress_counter(self) -> int:
         total = 0

@@ -155,9 +155,7 @@ class MemoryArbiterWatch:
         self._running = False
 
     def _schedule(self) -> None:
-        self.kernel.schedule(
-            self.interval, self._sample, name="mem-watch", transient=True
-        )
+        self.kernel.schedule(self.interval, self._sample, name="mem-watch")
 
     def _sample(self) -> None:
         if not self._running:

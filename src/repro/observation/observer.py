@@ -124,9 +124,7 @@ class LoadProbe:
         self._running = False
 
     def _schedule(self) -> None:
-        self.kernel.schedule(
-            self.interval, self._sample, name="load-probe", transient=True
-        )
+        self.kernel.schedule(self.interval, self._sample, name="load-probe")
 
     def _sample(self) -> None:
         if not self._running:
@@ -170,9 +168,7 @@ class BufferProbe:
         self._running = False
 
     def _schedule(self) -> None:
-        self.kernel.schedule(
-            self.interval, self._sample, name="buffer-probe", transient=True
-        )
+        self.kernel.schedule(self.interval, self._sample, name="buffer-probe")
 
     def _sample(self) -> None:
         if not self._running:

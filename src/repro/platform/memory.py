@@ -166,8 +166,7 @@ class MemoryArbiter:
         request.grant_time = self.kernel.now
         service = request.words / self.words_per_time
         self.kernel.schedule(
-            service, lambda: self._complete(request), name=f"mem:{client}",
-            transient=True,
+            service, lambda: self._complete(request), name=f"mem:{client}"
         )
 
     def _complete(self, request: MemoryRequest) -> None:

@@ -132,9 +132,7 @@ class Heartbeat:
         self.running = False
 
     def _schedule(self) -> None:
-        self.kernel.schedule(
-            self.period, self._beat, name=f"hb:{self.name}", transient=True
-        )
+        self.kernel.schedule(self.period, self._beat, name=f"hb:{self.name}")
 
     def _beat(self) -> None:
         if not self.running:

@@ -294,11 +294,7 @@ class MonitorFleet:
     # ------------------------------------------------------------------
     def run(self, duration: float) -> int:
         """Advance the shared kernel; returns events dispatched."""
-        dispatched = self.kernel.run(until=self.kernel.now + duration)
-        # Telemetry defers same-(topic, timestamp) bursts; settle them so
-        # member tallies and summaries read exact immediately after a run.
-        self.telemetry.flush()
-        return dispatched
+        return self.kernel.run(until=self.kernel.now + duration)
 
     def __len__(self) -> int:
         return len(self.members)

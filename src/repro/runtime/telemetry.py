@@ -107,17 +107,8 @@ class WindowedRate:
         self._head = index
 
     def add(self, amount: int = 1) -> None:
-        self.add_at(self._clock(), amount)
-
-    def add_at(self, now: float, amount: int = 1) -> None:
-        """Credit ``amount`` events to the bucket covering ``now``.
-
-        ``now`` must not be older than the ring head (simulated clocks
-        are monotone and every reader advances through the same fold
-        order), which is what lets :class:`FleetTelemetry` defer a
-        same-timestamp burst and still land it in the right bucket.
-        """
-        self._advance(now)
+        """Credit ``amount`` events to the bucket covering the clock."""
+        self._advance(self._clock())
         self._counts[self._head % self.buckets] += amount
         self._total += amount
 
@@ -377,19 +368,16 @@ class SuoTally:
         self.other = 0
 
     def bump(self, kind: str) -> None:
-        self.bump_many(kind, 1)
-
-    def bump_many(self, kind: str, count: int) -> None:
         if kind == "output":
-            self.outputs += count
+            self.outputs += 1
         elif kind == "input":
-            self.inputs += count
+            self.inputs += 1
         elif kind == "stimulus":
-            self.stimuli += count
+            self.stimuli += 1
         elif kind == "error":
-            self.errors += count
+            self.errors += 1
         else:
-            self.other += count
+            self.other += 1
 
     @property
     def events(self) -> int:
@@ -423,9 +411,9 @@ class FleetTelemetry:
         reservoir: int = 512,
     ) -> None:
         self.namespace = namespace
-        self._kinds = CounterSet()
-        self._per_suo: Dict[str, SuoTally] = {}
-        self._events_total = 0
+        self.kinds = CounterSet()
+        self.per_suo: Dict[str, SuoTally] = {}
+        self.events_total = 0
         self.event_rate = WindowedRate(clock, window=window, buckets=buckets)
         self.latency = ReservoirHistogram(capacity=reservoir, rng=rng)
         self.recovery = RecoveryStats(capacity=reservoir, rng=rng)
@@ -434,15 +422,6 @@ class FleetTelemetry:
         #: concrete topic -> (kind, SuoTally): parsing and tally lookup
         #: happen once per distinct topic, not once per event.
         self._topic_cache: Dict[str, Any] = {}
-        #: Deferred same-(topic, timestamp) burst: a member that emits
-        #: several events on one topic in one kernel batch folds them as
-        #: ONE update when the burst ends.  Every read path flushes
-        #: first, and the fold credits the burst's own timestamp, so the
-        #: rate buckets — and hence the digest — are unchanged.
-        self._pending_entry: Any = None
-        self._pending_topic: Optional[str] = None
-        self._pending_now = 0.0
-        self._pending_count = 0
         self._subscription: Optional[Subscription] = bus.subscribe(
             f"{namespace}.*", self._on_event
         )
@@ -450,43 +429,18 @@ class FleetTelemetry:
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-    @property
-    def events_total(self) -> int:
-        self.flush()
-        return self._events_total
-
-    @property
-    def kinds(self) -> CounterSet:
-        self.flush()
-        return self._kinds
-
-    @property
-    def per_suo(self) -> Dict[str, SuoTally]:
-        self.flush()
-        return self._per_suo
-
     def tally(self, suo_id: str) -> SuoTally:
         """The (created-on-demand) ledger for one SUO.
 
         ``MonitorFleet`` hands each admitted member its tally so member
         counters and telemetry are one shared state, not two copies.
         """
-        self.flush()
-        tally = self._per_suo.get(suo_id)
+        tally = self.per_suo.get(suo_id)
         if tally is None:
-            tally = self._per_suo[suo_id] = SuoTally()
+            tally = self.per_suo[suo_id] = SuoTally()
         return tally
 
     def _on_event(self, topic: str, event: Any) -> None:
-        now = self._clock()
-        if topic == self._pending_topic and now == self._pending_now:
-            self._pending_count += 1
-            if self._pending_entry[0] == "recovery":
-                self.recovery.observe(event)
-                self.diagnosis.observe(event)
-            return
-        if self._pending_count:
-            self._flush_pending()
         entry = self._topic_cache.get(topic)
         if entry is None:
             # topic == "<namespace>.<suo_id>.<kind>"
@@ -494,35 +448,15 @@ class FleetTelemetry:
                 _, suo_id, kind = topic.split(".", 2)
             except ValueError:
                 suo_id, kind = topic[len(self.namespace) + 1:], "other"
-            tally = self._per_suo.get(suo_id)
-            if tally is None:
-                tally = self._per_suo[suo_id] = SuoTally()
-            entry = self._topic_cache[topic] = (kind, tally)
-        self._pending_entry = entry
-        self._pending_topic = topic
-        self._pending_now = now
-        self._pending_count = 1
-        if entry[0] == "recovery":
+            entry = self._topic_cache[topic] = (kind, self.tally(suo_id))
+        kind, tally = entry
+        self.events_total += 1
+        self.kinds.inc(kind)
+        self.event_rate.add()
+        tally.bump(kind)
+        if kind == "recovery":
             self.recovery.observe(event)
             self.diagnosis.observe(event)
-
-    def _flush_pending(self) -> None:
-        count = self._pending_count
-        kind, tally = self._pending_entry
-        self._pending_count = 0
-        self._pending_topic = None
-        self._events_total += count
-        self._kinds.inc(kind, count)
-        self.event_rate.add_at(self._pending_now, count)
-        if count == 1:
-            tally.bump(kind)
-        else:
-            tally.bump_many(kind, count)
-
-    def flush(self) -> None:
-        """Fold any deferred burst; reads route through here."""
-        if self._pending_count:
-            self._flush_pending()
 
     def observe_latency(self, seconds: float) -> None:
         """Sample one delivery latency (simulated seconds)."""
@@ -530,7 +464,6 @@ class FleetTelemetry:
 
     def detach(self) -> None:
         """Stop ingesting; aggregated state stays queryable."""
-        self.flush()
         if self._subscription is not None:
             self._subscription.cancel()
             self._subscription = None

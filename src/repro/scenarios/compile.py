@@ -300,9 +300,7 @@ class CompiledScenario:
                     player.command(
                         "seek", position=rng.uniform(0.0, horizon * 0.9)
                     )
-                kernel.schedule(
-                    seek_every, seek_loop, name="scenario:seek", transient=True
-                )
+                kernel.schedule(seek_every, seek_loop, name="scenario:seek")
 
             return seek_loop
 
@@ -337,7 +335,7 @@ class CompiledScenario:
                 )
                 kernel.schedule(
                     rng.expovariate(1.0 / gap), submit_loop,
-                    name="scenario:job", transient=True,
+                    name="scenario:job",
                 )
 
             return submit_loop
@@ -458,10 +456,10 @@ class CompiledScenario:
         events in the same order as one call, and the final boundary is
         the exact float an unsegmented run stops at — so the trace and
         telemetry digests are byte-identical for any segment count.
-        ``on_segment(compiled, index, now)`` fires after each boundary
-        with telemetry flushed: the live-snapshot seam the campaign
-        service streams :class:`~repro.runtime.telemetry.FleetTelemetry`
-        state through while a shard runs.  A callback that raises aborts
+        ``on_segment(compiled, index, now)`` fires after each boundary:
+        the live-snapshot seam the campaign service streams
+        :class:`~repro.runtime.telemetry.FleetTelemetry` state through
+        while a shard runs.  A callback that raises aborts
         the run (cooperative cancellation); the kernel clock stays at
         the completed boundary.
         """
@@ -484,7 +482,6 @@ class CompiledScenario:
             # float run() targets — whatever the intermediate cuts were.
             boundary = origin + self.spec.duration * ((index + 1) / segments)
             dispatched += kernel.run(until=boundary)
-            self.fleet.telemetry.flush()
             if on_segment is not None:
                 on_segment(self, index, kernel.now)
         self._wall += wallclock.perf_counter() - start

@@ -4,14 +4,17 @@
 
 ``--port 0`` binds an ephemeral port; ``--port-file`` writes the bound
 port to a file once listening, which is how the CI smoke lane (and any
-other supervisor) discovers the address race-free.
+other supervisor) discovers the address race-free.  SIGINT and SIGTERM
+both stop the server cleanly, even when the process was started with
+SIGINT ignored (as a shell's background job is).
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from ..obs.history import DEFAULT_DB
 from .server import CampaignServer
@@ -54,6 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stop(Exception):
+    """Raised in the main thread by the SIGINT/SIGTERM handler."""
+
+
+def _raise_stop(signum: int, frame: Any) -> None:
+    raise _Stop(signal.Signals(signum).name)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     server = CampaignServer(
@@ -63,22 +74,33 @@ def main(argv: Optional[List[str]] = None) -> int:
         workers=args.workers,
         segments=args.segments,
     )
-    host, port = server.address
-    if args.port_file:
-        with open(args.port_file, "w", encoding="utf-8") as handle:
-            handle.write(str(port))
-    print(
-        f"campaign service listening on http://{host}:{port} "
-        f"(db={args.db}, workers={args.workers})",
-        flush=True,
-    )
+    # Handlers go in before the port file appears, so a supervisor that
+    # signals as soon as it reads the port is never lost.
+    previous = {
+        signum: signal.signal(signum, _raise_stop)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
+        host, port = server.address
+        if args.port_file:
+            with open(args.port_file, "w", encoding="utf-8") as handle:
+                handle.write(str(port))
+        print(
+            f"campaign service listening on http://{host}:{port} "
+            f"(db={args.db}, workers={args.workers})",
+            flush=True,
+        )
         server.serve_forever()
-    except KeyboardInterrupt:
+    except _Stop:
         print("shutting down", flush=True)
     finally:
-        server.shutdown()
+        # The serve loop ran on this thread and has returned, so only the
+        # job pool and the socket are left to stop (server.shutdown()
+        # would wait forever for a loop that never started).
+        server.manager.shutdown()
         server.server_close()
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
     return 0
 
 

@@ -25,14 +25,7 @@ once they dominate the queue, so long fault-injection campaigns run in
 bounded memory.
 
 Dispatch hot-path overhaul: :class:`Event` is a ``__slots__`` class (no
-per-event ``__dict__``), and *transient* events — the periodic
-reschedule chains that dominate fleet campaigns (process wake-ups,
-comparator sampling ticks, render refreshes) — are recycled through a
-bounded freelist instead of being allocated fresh every period.  A
-caller that passes ``transient=True`` promises not to retain the
-returned handle past the event's dispatch or cancellation; in exchange
-the kernel reuses the object, which removes the single biggest
-allocation churn in a fleet tick.
+per-event ``__dict__``); every scheduled callback gets a fresh one.
 """
 
 from __future__ import annotations
@@ -52,9 +45,6 @@ DISPATCH_TOPIC = "kernel.dispatch"
 #: Minimum lazy-deletion debt before compaction is even considered.
 COMPACT_MIN_DEBT = 64
 
-#: Upper bound on recycled Event objects kept per kernel.
-FREELIST_CAP = 512
-
 
 class SimulationError(Exception):
     """Raised for misuse of the kernel (e.g. scheduling in the past)."""
@@ -63,24 +53,17 @@ class SimulationError(Exception):
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, priority, seq)`` which is exactly the
-    dispatch order (the heap itself orders raw tuples, so this comparison
-    is for callers only).  ``cancelled`` events stay in the heap but are
-    skipped when popped (lazy deletion), which keeps cancellation O(1);
-    the owning kernel tracks the cancellation *debt* and compacts the
-    heap when cancelled entries dominate it, so the queue cannot grow
-    without bound.
-
-    ``transient`` events are recycled into the kernel's freelist once
-    they leave the heap (dispatched or cancelled-and-popped).  Holding a
-    transient handle past that point and calling :meth:`cancel` on it is
-    undefined — the object may already represent a different scheduled
-    event.  Cancelling a *pending* transient event is always safe.
+    The kernel dispatches events in ``(time, priority, seq)`` order (the
+    heap orders raw tuples of those keys).  ``cancelled`` events stay in
+    the heap but are skipped when popped (lazy deletion), which keeps
+    cancellation O(1); the owning kernel tracks the cancellation *debt*
+    and compacts the heap when cancelled entries dominate it, so the
+    queue cannot grow without bound.  ``owner`` is cleared when the event
+    is dispatched, so cancelling it afterwards adds no debt.
     """
 
     __slots__ = (
-        "time", "priority", "seq", "callback", "name", "cancelled",
-        "owner", "transient",
+        "time", "priority", "seq", "callback", "name", "cancelled", "owner",
     )
 
     def __init__(
@@ -92,7 +75,6 @@ class Event:
         name: str = "",
         cancelled: bool = False,
         owner: Optional["Kernel"] = None,
-        transient: bool = False,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -101,31 +83,6 @@ class Event:
         self.name = name
         self.cancelled = cancelled
         self.owner = owner
-        self.transient = transient
-
-    # Ordering mirrors the old dataclass(order=True) with compare=False
-    # on everything but (time, priority, seq).
-    def _key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "Event") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "Event") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "Event") -> bool:
-        return self._key() >= other._key()
-
-    __hash__ = None  # type: ignore[assignment]  # match the old dataclass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -175,8 +132,6 @@ class Kernel:
         #: Count of cancelled events still sitting in the heap.
         self._cancelled_debt = 0
         self.compactions = 0
-        #: Recycled transient Event objects (bounded).
-        self._free: List[Event] = []
         #: Live processes in creation order; a process registers itself
         #: and drops out when it finishes (see :meth:`close`).
         self._processes: Dict[Process, None] = {}
@@ -199,15 +154,11 @@ class Kernel:
         *,
         priority: int = 0,
         name: str = "",
-        transient: bool = False,
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` time units from now.
 
         ``priority`` breaks ties at equal times; lower runs first.  Returns
-        the :class:`Event`, which may be cancelled.  ``transient=True``
-        opts into freelist reuse (see :class:`Event`): hot periodic
-        chains should pass it, callers that retain the handle past
-        dispatch must not.
+        the :class:`Event`, which may be cancelled.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
@@ -215,19 +166,7 @@ class Kernel:
         # event in a campaign, and the extra frame is measurable.
         time = self._now + delay
         seq = next(self._seq)
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.name = name
-            event.cancelled = False
-            event.owner = self
-            event.transient = transient
-        else:
-            event = Event(time, priority, seq, callback, name, False, self, transient)
+        event = Event(time, priority, seq, callback, name, False, self)
         heapq.heappush(self._queue, (time, priority, seq, event))
         return event
 
@@ -238,7 +177,6 @@ class Kernel:
         *,
         priority: int = 0,
         name: str = "",
-        transient: bool = False,
     ) -> Event:
         """Schedule ``callback`` at an absolute simulated time.
 
@@ -255,29 +193,9 @@ class Kernel:
                 f"cannot schedule in the past (at={time}, now={self._now})"
             )
         seq = next(self._seq)
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.priority = priority
-            event.seq = seq
-            event.callback = callback
-            event.name = name
-            event.cancelled = False
-            event.owner = self
-            event.transient = transient
-        else:
-            event = Event(time, priority, seq, callback, name, False, self, transient)
+        event = Event(time, priority, seq, callback, name, False, self)
         heapq.heappush(self._queue, (time, priority, seq, event))
         return event
-
-    def _recycle(self, event: Event) -> None:
-        """Return a transient event that left the heap to the freelist."""
-        event.owner = None
-        event.callback = _NOOP  # drop closure references promptly
-        free = self._free
-        if len(free) < FREELIST_CAP:
-            free.append(event)
 
     # ------------------------------------------------------------------
     # cancellation debt / heap compaction
@@ -298,15 +216,7 @@ class Kernel:
         """
         queue = self._queue
         before = len(queue)
-        kept: List[QueueEntry] = []
-        for entry in queue:
-            event = entry[3]
-            if event.cancelled:
-                if event.transient:
-                    self._recycle(event)
-            else:
-                kept.append(entry)
-        queue[:] = kept
+        queue[:] = [entry for entry in queue if not entry[3].cancelled]
         heapq.heapify(queue)
         self._cancelled_debt = 0
         self.compactions += 1
@@ -341,13 +251,6 @@ class Kernel:
         snapshot is fetched once per timestamp.  Dispatch order is
         identical to one-at-a-time stepping — events scheduled by a batch
         member at the same timestamp merge into the batch in heap order.
-
-        Transient events are recycled right after their callback is
-        looked up, but only while nothing subscribes to
-        :data:`DISPATCH_TOPIC` — a subscriber may legitimately inspect
-        (though not retain) the Event object it receives, so observation
-        disables reuse rather than risking a recycled object changing
-        under an observer.
         """
         dispatched = 0
         if max_events is not None and max_events <= 0:
@@ -356,19 +259,14 @@ class Kernel:
         queue = self._queue
         pop = heapq.heappop
         bus = self.bus
-        recycle = self._recycle
         hooks_version = -1
         hooks: tuple = ()
         while queue:
             head = queue[0]
             batch_time = head[0]
             if head[3].cancelled:
-                event = pop(queue)[3]
+                pop(queue)
                 self._cancelled_debt -= 1
-                if event.transient:
-                    recycle(event)
-                else:
-                    event.owner = None
                 continue
             if until is not None and batch_time > until:
                 break
@@ -384,22 +282,12 @@ class Kernel:
                 event = pop(queue)[3]
                 if event.cancelled:
                     self._cancelled_debt -= 1
-                    if event.transient:
-                        recycle(event)
-                    else:
-                        event.owner = None
                 else:
-                    callback = event.callback
-                    if hooks:
-                        for hook in hooks:
-                            hook(DISPATCH_TOPIC, event)
-                        event.owner = None
-                    elif event.transient:
-                        recycle(event)
-                    else:
-                        event.owner = None
+                    event.owner = None
+                    for hook in hooks:
+                        hook(DISPATCH_TOPIC, event)
                     self.dispatched_count += 1
-                    callback()
+                    event.callback()
                     dispatched += 1
                     if dispatched == limit:
                         return dispatched
@@ -418,12 +306,8 @@ class Kernel:
         """
         queue = self._queue
         while queue and queue[0][3].cancelled:
-            event = heapq.heappop(queue)[3]
+            heapq.heappop(queue)
             self._cancelled_debt -= 1
-            if event.transient:
-                self._recycle(event)
-            else:
-                event.owner = None
         if not queue:
             return None
         return queue[0][0]
@@ -465,14 +349,9 @@ class Kernel:
             except Exception as exc:  # noqa: BLE001 — reported below
                 failure = failure or (process, exc)
         self._queue.clear()
-        self._free.clear()
         self._cancelled_debt = 0
         if failure is not None:
             process, exc = failure
             raise SimulationError(
                 f"process {process.name} did not close: {exc}"
             ) from exc
-
-
-def _NOOP() -> None:  # recycled events point here until reassigned
-    return None

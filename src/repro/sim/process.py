@@ -86,10 +86,7 @@ class Process:
 
     Delay wake-ups are the single most common event in a fleet campaign
     (every periodic task body sleeps between jobs), so the process keeps
-    one reusable wake callback and its timer events are *transient*
-    (kernel freelist reuse): :meth:`_resume` drops ``_pending_event``
-    before touching the generator, and :meth:`interrupt` only cancels
-    still-pending timers, so no reference outlives the dispatch.
+    one reusable wake callback for its timer events.
 
     The kernel owns its processes: a process registers with it on
     construction and drops out when it finishes, so
@@ -124,7 +121,7 @@ class Process:
         self._wake: Callable[[], None] = lambda: self._resume(None)
         self._wake_name = f"wake:{name}"
         kernel._processes[self] = None
-        kernel.schedule(0.0, self._wake, name=f"start:{name}", transient=True)
+        kernel.schedule(0.0, self._wake, name=f"start:{name}")
 
     # ------------------------------------------------------------------
     def _resume(self, value: Any) -> None:
@@ -149,8 +146,7 @@ class Process:
     def _handle_request(self, request: Any) -> None:
         if isinstance(request, Delay):
             self._pending_event = self.kernel.schedule(
-                request.duration, self._wake, name=self._wake_name,
-                transient=True,
+                request.duration, self._wake, name=self._wake_name
             )
             return
         if isinstance(request, WaitSignal):

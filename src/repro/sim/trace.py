@@ -9,20 +9,14 @@ Traces double as the data source for program spectra (Sect. 4.4): the
 block instrumentation emits ``block:<id>`` records that the diagnosis
 package folds into hit spectra per scenario step.
 
-Live distribution rides the runtime :class:`~repro.runtime.bus.EventBus`
-when one is attached: every record is published on ``<name>.record`` and
-on the per-kind topic ``<name>.record.<kind>``, so a monitor interested
-only in ``mode`` records never sees ``block:*`` traffic.  Without a bus
-the trace keeps a private subscriber list, and either way an unobserved
-``emit`` costs only the append plus empty-lookup checks.
+Live subscribers sit on a private list, so an unobserved ``emit`` costs
+only the append plus an empty-list loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
-
-from ..runtime.bus import EventBus, Subscription
 
 
 @dataclass(frozen=True)
@@ -38,24 +32,10 @@ class TraceRecord:
 class Trace:
     """Append-only trace with live subscribers and post-hoc queries."""
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        bus: Optional[EventBus] = None,
-        name: str = "trace",
-    ) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self.records: List[TraceRecord] = []
-        self.name = name
         self._clock = clock or (lambda: 0.0)
-        self._bus = bus
-        self._topic_all = f"{name}.record"
-        self._kind_topics: Dict[str, str] = {}
         self._subscribers: List[Callable[[TraceRecord], None]] = []
-        #: (id(callback), kind) -> live bus subscriptions; the kind is
-        #: part of the key so one callback may watch several kinds and
-        #: detach them independently, and repeated registrations stack
-        #: like the legacy subscriber list did.
-        self._bus_subs: Dict[tuple, List[Subscription]] = {}
         self._kind_index: Dict[str, List[int]] = {}
 
     def emit(self, source: str, kind: str, value: Any = None) -> TraceRecord:
@@ -68,49 +48,21 @@ class Trace:
         self.records.append(record)
         for subscriber in self._subscribers:
             subscriber(record)
-        bus = self._bus
-        if bus is not None:
-            bus.publish(self._topic_all, record)
-            topic = self._kind_topics.get(kind)
-            if topic is None:
-                topic = self._kind_topics[kind] = f"{self._topic_all}.{kind}"
-            bus.publish(topic, record)
         return record
 
     # ------------------------------------------------------------------
     # live subscription
     # ------------------------------------------------------------------
-    def subscribe(
-        self, callback: Callable[[TraceRecord], None], kind: Optional[str] = None
-    ) -> None:
+    def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
         """Register a live subscriber invoked on every future record.
 
-        With ``kind`` (bus-attached traces only) the subscriber sees only
-        records of that kind, via the per-kind bus topic.
+        Registrations stack: subscribing one callback twice delivers each
+        record to it twice, until it is unsubscribed twice.
         """
-        if self._bus is not None:
-            topic = self._topic_all if kind is None else f"{self._topic_all}.{kind}"
-            sub = self._bus.subscribe(
-                topic, lambda _topic, record, _cb=callback: _cb(record)
-            )
-            self._bus_subs.setdefault((id(callback), kind), []).append(sub)
-            return
-        if kind is not None:
-            raise ValueError("per-kind subscription requires a bus-attached Trace")
         self._subscribers.append(callback)
 
-    def unsubscribe(
-        self, callback: Callable[[TraceRecord], None], kind: Optional[str] = None
-    ) -> None:
-        """Detach one registration of ``callback`` (matching ``kind``)."""
-        if self._bus is not None:
-            key = (id(callback), kind)
-            subs = self._bus_subs.get(key)
-            if subs:
-                subs.pop().cancel()
-                if not subs:
-                    del self._bus_subs[key]
-            return
+    def unsubscribe(self, callback: Callable[[TraceRecord], None]) -> None:
+        """Detach one registration of ``callback`` (no-op if none)."""
         if callback in self._subscribers:
             self._subscribers.remove(callback)
 

@@ -77,9 +77,7 @@ class RemoteControl:
 
     def schedule_press(self, delay: float, key: str) -> None:
         """Press a key ``delay`` time units from now."""
-        self.kernel.schedule(
-            delay, lambda: self.press(key), name=f"key:{key}", transient=True
-        )
+        self.kernel.schedule(delay, lambda: self.press(key), name=f"key:{key}")
 
 
 class KeySequence:
@@ -105,7 +103,6 @@ class KeySequence:
                 max(0.0, at - self.remote.kernel.now),
                 (lambda k: (lambda: self.remote.press(k)))(key),
                 name=f"seq:{key}",
-                transient=True,
             )
             at += self.interval
 

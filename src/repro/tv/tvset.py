@@ -503,11 +503,7 @@ class TVSet:
     # alerts (broadcast-side input)
     # ------------------------------------------------------------------
     def _schedule_refresh(self) -> None:
-        # Render ticks dominate a fleet campaign's non-wake events; they
-        # are fire-and-forget, so let the kernel recycle them.
-        self.kernel.schedule(
-            self.refresh_interval, self._refresh, name="render", transient=True
-        )
+        self.kernel.schedule(self.refresh_interval, self._refresh, name="render")
 
     def _refresh(self) -> None:
         if self.powered:
@@ -517,7 +513,7 @@ class TVSet:
     def _schedule_volume_check(self) -> None:
         self.kernel.schedule(
             self.volume_check_interval, self._volume_check,
-            name="selfcheck:volume", transient=True,
+            name="selfcheck:volume",
         )
 
     def _volume_check(self) -> None:

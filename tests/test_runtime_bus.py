@@ -212,29 +212,6 @@ def test_bus_snapshot_folds_exact_and_wildcard():
     assert bus.snapshot("z") == ()
 
 
-def test_trace_same_callback_on_two_kinds_detaches_independently():
-    """Regression: per-kind subscriptions of one callback were keyed only
-    by id(callback), so the second overwrote the first and the first
-    could never be unsubscribed."""
-    from repro.sim import Trace
-
-    bus = EventBus()
-    trace = Trace(bus=bus)
-    seen = []
-    cb = lambda record: seen.append(record.kind)  # noqa: E731
-    trace.subscribe(cb, kind="mode")
-    trace.subscribe(cb, kind="block")
-    trace.emit("s", "mode")
-    trace.emit("s", "block")
-    trace.unsubscribe(cb, kind="mode")
-    trace.emit("s", "mode")
-    trace.emit("s", "block")
-    trace.unsubscribe(cb, kind="block")
-    trace.emit("s", "mode")
-    trace.emit("s", "block")
-    assert seen == ["mode", "block", "block"]
-
-
 def test_unsubscribing_another_wildcard_namespace_mid_publish_is_safe():
     """Regression: the wildcard dispatch path read self._wild live, so a
     handler cancelling a *different* namespace mid-publish raised
@@ -256,12 +233,12 @@ def test_unsubscribing_another_wildcard_namespace_mid_publish_is_safe():
 
 
 def test_trace_double_subscribe_of_same_callback_fully_detaches():
-    """Regression: a second identical (callback, kind) registration
-    orphaned the first bus subscription, leaking deliveries forever."""
+    """Regression: a second identical registration orphaned the first,
+    leaking deliveries forever; registrations stack and detach one by
+    one."""
     from repro.sim import Trace
 
-    bus = EventBus()
-    trace = Trace(bus=bus)
+    trace = Trace()
     seen = []
     cb = lambda record: seen.append(record.kind)  # noqa: E731
     trace.subscribe(cb)

@@ -83,6 +83,18 @@ def test_topic_isolation_between_members():
     assert b.inputs == 0
 
 
+def test_member_counters_are_exact_without_running_the_kernel():
+    """Two same-timestamp inputs count at once: no run() settles them."""
+    from repro.tv.remote import KeyPress
+
+    fleet = MonitorFleet(seed=3)
+    member = fleet.add_tv()
+    topic = f"suo.{member.suo_id}.input"
+    fleet.bus.publish(topic, KeyPress(0.0, "power", 0))
+    fleet.bus.publish(topic, KeyPress(0.0, "power", 1))
+    assert member.inputs == 2
+
+
 def test_fleet_trace_is_deterministic_across_runs():
     """Same seed → byte-identical merged fleet trace (two fresh runs)."""
 

@@ -8,8 +8,14 @@ against a real server on an ephemeral port with a temp history store.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -357,3 +363,38 @@ class TestPerShardStatus:
         assert code == 0
         assert "1/1 cells complete" in out
         assert "shard " not in out  # no per-shard noise once complete
+
+
+# ----------------------------------------------------------------------
+# the process entry point: clean shutdown on SIGINT and SIGTERM
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+)
+def test_service_process_stops_cleanly_on_signal(tmp_path, signum):
+    """A server started with SIGINT ignored (a non-interactive shell's
+    background job) still stops on SIGINT, and on SIGTERM, exiting 0."""
+    port_file = tmp_path / "port"
+    src = Path(__file__).resolve().parents[1] / "src"
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "--port", "0",
+         "--port-file", str(port_file),
+         "--db", str(tmp_path / "history.sqlite")],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (port_file.exists() and port_file.read_text().strip()):
+            assert process.poll() is None, process.stdout.read().decode()
+            assert time.monotonic() < deadline, "service did not start"
+            time.sleep(0.02)
+        process.send_signal(signum)
+        output, _ = process.communicate(timeout=10)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.communicate()
+    assert process.returncode == 0
+    assert output.decode().rstrip().endswith("shutting down")

@@ -275,97 +275,40 @@ def test_schedule_at_rejects_the_past():
 
 
 # ----------------------------------------------------------------------
-# transient events and the freelist (the dispatch hot-path overhaul)
+# the dispatch hot path: batched same-timestamp draining
 # ----------------------------------------------------------------------
-def test_transient_event_is_recycled_and_reused():
-    kernel = Kernel()
-    fired = []
-    first = kernel.schedule(1.0, lambda: fired.append("a"), transient=True)
-    kernel.run()
-    assert fired == ["a"]
-    assert first in kernel._free
-    # The next transient schedule must reuse the recycled object.
-    second = kernel.schedule(1.0, lambda: fired.append("b"), transient=True)
-    assert second is first
-    kernel.run()
-    assert fired == ["a", "b"]
-
-
-def test_non_transient_events_are_never_recycled():
-    kernel = Kernel()
-    event = kernel.schedule(1.0, lambda: None)
-    kernel.run()
-    assert event not in kernel._free
-    assert kernel._free == []
-
-
-def test_cancelled_transient_event_is_recycled_without_firing():
-    kernel = Kernel()
-    fired = []
-    event = kernel.schedule(1.0, lambda: fired.append("x"), transient=True)
-    kernel.schedule(2.0, lambda: fired.append("y"))
-    event.cancel()
-    kernel.run()
-    assert fired == ["y"]
-    assert event in kernel._free
-
-
-def test_recycled_event_drops_its_callback_closure():
-    kernel = Kernel()
-    payload = []
-    event = kernel.schedule(1.0, lambda: payload.append(1), transient=True)
-    original = event.callback
-    kernel.run()
-    assert event.callback is not original  # closure released for the GC
-
-
-def test_freelist_is_bounded_by_the_cap():
-    from repro.sim.kernel import FREELIST_CAP
-
-    kernel = Kernel()
-    for i in range(FREELIST_CAP + 50):
-        kernel.schedule(float(i) * 0.001, lambda: None, transient=True)
-    kernel.run()
-    assert len(kernel._free) <= FREELIST_CAP
-
-
-def test_transient_recycling_is_disabled_while_dispatch_hooks_attached():
-    """Dispatch hooks (trace recorders) receive the Event object itself,
-    so a hooked kernel must not reuse it out from under them."""
-    from repro.sim import DISPATCH_TOPIC
-
-    kernel = Kernel()
-    seen = []
-    kernel.bus.subscribe(DISPATCH_TOPIC, lambda _t, e: seen.append(e))
-    event = kernel.schedule(1.0, lambda: None, transient=True)
-    kernel.run()
-    assert seen and seen[0] is event
-    assert event not in kernel._free
-
-
-def test_transient_and_normal_events_keep_dispatch_order():
+def test_mixed_events_keep_dispatch_order():
+    """Events scheduled out of order dispatch in (time, seq) order."""
     kernel = Kernel()
     order = []
-    kernel.schedule(2.0, lambda: order.append("late"), transient=True)
+    kernel.schedule(2.0, lambda: order.append("late"))
     kernel.schedule(1.0, lambda: order.append("early"))
-    kernel.schedule(1.0, lambda: order.append("early2"), transient=True)
+    kernel.schedule_at(1.0, lambda: order.append("early2"))
     kernel.run()
     assert order == ["early", "early2", "late"]
 
 
-def test_transient_reschedule_from_its_own_callback():
-    """The self-rescheduling periodic pattern: the callback schedules the
-    next tick while its (recycled) event is being dispatched."""
+def test_self_rescheduling_chain_ticks_each_period():
+    """The periodic pattern: the callback schedules the next tick while
+    its own event is being dispatched."""
     kernel = Kernel()
     ticks = []
 
     def tick():
         ticks.append(kernel.now)
         if len(ticks) < 4:
-            kernel.schedule(1.0, tick, name="tick", transient=True)
+            kernel.schedule(1.0, tick, name="tick")
 
-    kernel.schedule(1.0, tick, name="tick", transient=True)
+    kernel.schedule(1.0, tick, name="tick")
     kernel.run()
     assert ticks == [1.0, 2.0, 3.0, 4.0]
-    # Steady state reuses one Event object rather than allocating four.
-    assert len(kernel._free) == 1
+    assert kernel.pending_count() == 0
+
+
+def test_dispatch_hook_receives_the_event_object():
+    kernel = Kernel()
+    seen = []
+    kernel.bus.subscribe(DISPATCH_TOPIC, lambda _t, e: seen.append(e))
+    event = kernel.schedule(1.0, lambda: None, name="x")
+    kernel.run()
+    assert len(seen) == 1 and seen[0] is event
