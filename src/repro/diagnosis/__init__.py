@@ -2,7 +2,6 @@
 
 from .components import (
     COMPONENTS,
-    FAULT_COMPONENTS,
     ComponentSpectra,
     RankedComponent,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "COEFFICIENTS",
     "COMPONENTS",
     "ComponentSpectra",
-    "FAULT_COMPONENTS",
     "OnlineDiagnoser",
     "RankedBlock",
     "RankedComponent",

@@ -43,29 +43,12 @@ from .spectra import SpectraCounts
 
 #: The component vocabulary per SUO kind — the units a targeted rebind
 #: can replace (TV Koala components, player pipeline stages, printer
-#: paper-path modules).
+#: paper-path modules).  Every ground-truth ``component`` of
+#: :data:`repro.faults.FAULTS` is one of these.
 COMPONENTS: Dict[str, Tuple[str, ...]] = {
     "tv": ("audio", "dualscreen", "osd", "teletext", "tuner", "video"),
     "player": ("control", "decoder", "demux", "renderer"),
     "printer": ("controller", "engine", "feeder", "finisher"),
-}
-
-#: Ground truth for the scenario faults: the component an injected
-#: ``(kind, fault)`` actually lives in (the analogue of
-#: ``SoftwareBuild.fault_blocks`` at component granularity).  Telemetry
-#: records the rank this component achieved in each episode's SFL
-#: ranking — the localization-accuracy observable CI gates on.
-FAULT_COMPONENTS: Dict[Tuple[str, str], str] = {
-    ("tv", "volume_overshoot"): "audio",
-    ("tv", "mute_noop"): "audio",
-    ("tv", "menu_opens_epg"): "osd",
-    ("tv", "drop_ttx_notify"): "teletext",
-    ("tv", "ttx_stale_render"): "teletext",
-    ("player", "stall_on_corrupt"): "decoder",
-    ("player", "decode_slowdown"): "decoder",
-    ("printer", "silent_jam"): "feeder",
-    ("printer", "cold_fuser"): "engine",
-    ("printer", "lost_staples"): "finisher",
 }
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,8 @@ three layers:
     oracle for what the fuzzer has left uncovered.
 
 ``fault:{kind}:{fault}`` / ``component:{component}``
-    Which of the :data:`~repro.scenarios.spec.KNOWN_FAULTS` entries the
-    schedule injected, and (via
-    :data:`~repro.diagnosis.components.FAULT_COMPONENTS`) which model
+    Which of the :data:`repro.faults.FAULTS` entries the schedule
+    injected, and (via their ground-truth ``component``) which model
     components those implicate.
 
 ``outcome:...``
@@ -35,7 +34,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from ..campaign.report import CampaignReport
-from ..diagnosis.components import FAULT_COMPONENTS
+from ..faults import FAULTS
 from ..scenarios.compile import CompiledScenario
 from ..scenarios.spec import ScenarioSpec
 
@@ -57,7 +56,7 @@ def fault_coverage(spec: ScenarioSpec) -> Set[str]:
     keys: Set[str] = set()
     for phase in spec.phases:
         keys.add(f"fault:{phase.kind}:{phase.fault}")
-        component = FAULT_COMPONENTS.get((phase.kind, phase.fault))
+        component = FAULTS[(phase.kind, phase.fault)].component
         if component is not None:
             keys.add(f"component:{component}")
         if phase.recovery:

@@ -12,7 +12,7 @@ a seeded stream:
   for :class:`~repro.tv.remote.RandomUser` or, occasionally, as a
   deterministic ``script``;
 * **fault schedules** — :class:`FaultPhase` entries over every
-  ``(kind, fault)`` in :data:`~repro.scenarios.spec.KNOWN_FAULTS`,
+  ``(kind, fault)`` in :data:`repro.faults.FAULTS`,
   including windowed repairs, pulsed floods, recovery-ladder phases,
   and the edge positions (``at=0``, late-horizon) hand authors avoid.
 
@@ -28,13 +28,8 @@ import random
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-from ..scenarios.spec import (
-    KNOWN_FAULTS,
-    LOAD_FAULTS,
-    FaultPhase,
-    ScenarioSpec,
-    UserProfile,
-)
+from ..faults import FAULTS
+from ..scenarios.spec import FaultPhase, ScenarioSpec, UserProfile
 from ..sim.random import RandomStreams
 
 #: The op vocabulary the library's hand-written profiles draw from —
@@ -46,13 +41,13 @@ OP_VOCABULARY: Tuple[str, ...] = (
     "digit1", "digit5", "digit9",
 )
 
-#: Faults a ``recovery=True`` phase may carry: marking faults only
+#: Faults a ``recovery=True`` phase may carry: latent faults only
 #: (load faults are never detected, so a ladder could not repair them).
 RECOVERABLE_FAULTS: Tuple[Tuple[str, str], ...] = tuple(
-    sorted(KNOWN_FAULTS - LOAD_FAULTS)
+    sorted(key for key, fault in FAULTS.items() if fault.component is not None)
 )
 
-_ALL_FAULTS: Tuple[Tuple[str, str], ...] = tuple(sorted(KNOWN_FAULTS))
+_ALL_FAULTS: Tuple[Tuple[str, str], ...] = tuple(sorted(FAULTS))
 
 
 def _markov_matrix(

@@ -630,8 +630,7 @@ def _merge_stat_blocks(
 
     Count/min/max are exact; the mean is re-derived from count-weighted
     totals; quantiles come from a deterministic fixed-seed re-sample of
-    the concatenated retained samples when available, else from
-    count-weighted interpolation (see :func:`merge_summaries`).
+    the concatenated retained samples (see :func:`merge_summaries`).
     """
     counts = [block.get("count", 0) for block in blocks]
     total_count = sum(counts)
@@ -644,28 +643,17 @@ def _merge_stat_blocks(
         merged["max"] = max(block.get("max", 0.0) for block in nonzero)
     else:
         merged.update({"mean": 0.0, "min": 0.0, "max": 0.0})
-    if any("samples" in block for block in blocks):
-        # Fixed-seed Algorithm R over the concatenated shard samples:
-        # the same sketch FleetTelemetry keeps, so a single-summary
-        # merge reproduces its quantiles exactly.
-        resampler = ReservoirHistogram(capacity=reservoir, rng=random.Random(0))
-        for block in blocks:
-            for value in block.get("samples", ()):
-                resampler.add(value)
-        for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
-            merged[name] = round(resampler.quantile(q), digits)
-        merged["retained"] = resampler.retained
-        merged["samples"] = resampler.samples(digits)
-    else:
-        for name in ("p50", "p90", "p99"):
-            if total_count:
-                weighted = sum(
-                    block.get(name, 0.0) * block.get("count", 0) for block in nonzero
-                )
-                merged[name] = round(weighted / total_count, digits)
-            else:
-                merged[name] = 0.0
-        merged["retained"] = sum(block.get("retained", 0) for block in blocks)
+    # Fixed-seed Algorithm R over the concatenated shard samples: the
+    # same sketch FleetTelemetry keeps, so a single-summary merge
+    # reproduces its quantiles exactly.
+    resampler = ReservoirHistogram(capacity=reservoir, rng=random.Random(0))
+    for block in blocks:
+        for value in block.get("samples", ()):
+            resampler.add(value)
+    for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
+        merged[name] = round(resampler.quantile(q), digits)
+    merged["retained"] = resampler.retained
+    merged["samples"] = resampler.samples(digits)
     return merged
 
 
@@ -760,9 +748,7 @@ def merge_summaries(
       re-computed from a reservoir **re-sampled deterministically**
       (fixed-seed Algorithm R) from the concatenated retained samples of
       the inputs — the same bounded sketch a serial run would produce,
-      not a biased average of quantiles.  Inputs without ``samples``
-      fall back to count-weighted quantile interpolation (deterministic,
-      approximate);
+      not a biased average of quantiles;
     * ``recovery`` counts/actions and per-wave TTR count/min/max sum or
       take extrema exactly (each member recovers on exactly one shard);
       per-wave means are count-weighted;

@@ -17,7 +17,7 @@ Scenarios run through :mod:`repro.campaign`::
     print(report.telemetry_summary["events_total"], report.telemetry_digest)
 """
 
-from .compile import CompiledScenario, FAULT_ACTIONS
+from .compile import CompiledScenario
 from .exercise import (
     EXERCISE_GAP,
     EXERCISE_KEYS,
@@ -41,8 +41,6 @@ from .library import (
     scenario_names,
 )
 from .spec import (
-    KNOWN_FAULTS,
-    LOAD_FAULTS,
     FaultPhase,
     ScenarioSpec,
     UserProfile,
@@ -54,10 +52,7 @@ __all__ = [
     "EXERCISE_GAP",
     "EXERCISE_KEYS",
     "EXERCISE_SCRIPT",
-    "FAULT_ACTIONS",
     "FaultPhase",
-    "KNOWN_FAULTS",
-    "LOAD_FAULTS",
     "MemberRecovery",
     "PlannedMember",
     "SCENARIOS",

@@ -23,102 +23,32 @@ worker processes without perturbing any member's behaviour.
 from __future__ import annotations
 
 import time as wallclock
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from ..diagnosis.components import FAULT_COMPONENTS
+from ..faults import FAULTS, Fault
 from ..runtime.fleet import FleetMember, FleetReport, MonitorFleet, build_fleet_report
 from ..sim.random import RandomStreams
 from ..tv.remote import KeySequence
 from .plan import ScenarioPlan, build_plan, derive_shard_seed
 from .recovery import MemberRecovery
-from .spec import FaultPhase, ScenarioSpec, TV_FLAG_FAULTS
+from .spec import FaultPhase, ScenarioSpec
 
 Action = Callable[[FleetMember], None]
 
 
-def _tv_flag(name: str) -> Tuple[Action, Action]:
-    def apply(member: FleetMember) -> None:
-        member.suo.control.fault_flags[name] = True
+def _member_action(fault: Fault, action: Optional[Callable]) -> Optional[Action]:
+    """Lift a catalogue action onto a fleet member: its SUO, or its
+    monitor (skipped on an unmonitored member) for ``on_monitor``."""
+    if action is None:
+        return None
+    if fault.on_monitor:
 
-    def clear(member: FleetMember) -> None:
-        member.suo.control.fault_flags[name] = False
+        def on_monitor(member: FleetMember) -> None:
+            if member.monitor is not None:
+                action(member.monitor)
 
-    return apply, clear
-
-
-def _set_attr(attr: str, on_value, off_value) -> Tuple[Action, Action]:
-    def apply(member: FleetMember) -> None:
-        setattr(member.suo, attr, on_value)
-
-    def clear(member: FleetMember) -> None:
-        setattr(member.suo, attr, off_value)
-
-    return apply, clear
-
-
-def _monitor_stop(member: FleetMember) -> None:
-    if member.monitor is not None:
-        member.monitor.stop()
-
-
-def _monitor_start(member: FleetMember) -> None:
-    if member.monitor is not None:
-        member.monitor.start()
-
-
-#: (kind, fault) -> (apply, clear-or-None).  Load faults (alert floods,
-#: job bursts) have no clear action; they are impulses, not states.
-FAULT_ACTIONS: Dict[Tuple[str, str], Tuple[Action, Optional[Action]]] = {
-    ("tv", "drop_ttx_notify"): (
-        lambda m: m.suo.teletext.inject_sync_loss(),
-        lambda m: m.suo.teletext.repair_sync(),
-    ),
-    ("tv", "ttx_stale_render"): (
-        lambda m: m.suo.teletext.inject_stale_render(),
-        lambda m: m.suo.teletext.repair_stale_render(),
-    ),
-    ("tv", "alert_broadcast"): (lambda m: m.suo.broadcast_alert(), None),
-    ("tv", "monitor_churn"): (_monitor_stop, _monitor_start),
-    ("player", "stall_on_corrupt"): _set_attr("stall_on_corrupt", True, False),
-    ("player", "decode_slowdown"): _set_attr("decode_slowdown", 3.0, 1.0),
-    ("printer", "silent_jam"): (
-        lambda m: m.suo.inject_silent_jam(),
-        lambda m: m.suo.clear_jam(),
-    ),
-    ("printer", "cold_fuser"): (
-        lambda m: m.suo.inject_cold_fuser(),
-        lambda m: m.suo.repair_fuser(),
-    ),
-    ("printer", "lost_staples"): (
-        lambda m: m.suo.inject_lost_staples(),
-        lambda m: m.suo.refill_staples(),
-    ),
-    # A burst is an impulse, not a state: four jobs of fixed sizes land
-    # at once (deterministic by construction, so no stream needed).
-    ("printer", "job_burst"): (
-        lambda m: [m.suo.submit(pages=pages) for pages in (2, 4, 3, 2)],
-        None,
-    ),
-}
-for _flag in TV_FLAG_FAULTS:
-    FAULT_ACTIONS[("tv", _flag)] = _tv_flag(_flag)
-
-
-def _player_pipeline_restart(member: FleetMember) -> None:
-    """The wedged-decoder repair: a stalled decode process cannot be
-    revived in place (the stall loop never exits), so the rebind rung
-    clears the fault AND rebuilds the pipeline at the current position."""
-    member.suo.stall_on_corrupt = False
-    member.suo.restart_pipeline()
-
-
-#: Repairs a *recovery ladder* executes at the rebind rung when the
-#: phase's scheduled ``clear`` action alone would not undo the failure
-#: mode (clearing ``stall_on_corrupt`` does not un-wedge an already
-#: stalled decoder).  Faults not listed here repair with their ``clear``.
-RECOVERY_REPAIRS: Dict[Tuple[str, str], Action] = {
-    ("player", "stall_on_corrupt"): _player_pipeline_restart,
-}
+        return on_monitor
+    return lambda member: action(member.suo)
 
 
 class CompiledScenario:
@@ -366,23 +296,21 @@ class CompiledScenario:
     def _schedule_phases(self) -> None:
         kernel = self.fleet.kernel
         for index, phase in enumerate(self.spec.phases):
-            apply, clear = FAULT_ACTIONS[(phase.kind, phase.fault)]
+            entry = FAULTS[(phase.kind, phase.fault)]
+            apply = _member_action(entry, entry.apply)
+            clear = _member_action(entry, entry.clear)
             targets = self._phase_targets(index, phase)
             if not targets:
                 continue
 
             if phase.recovery:
-                repair = RECOVERY_REPAIRS.get((phase.kind, phase.fault), clear)
-                if repair is None:
-                    raise ValueError(
-                        f"fault {phase.fault!r} has no repair action, so a "
-                        "recovery ladder could never clear it"
-                    )
-                component = FAULT_COMPONENTS.get((phase.kind, phase.fault))
+                # validate() admits recovery only for latent faults, and
+                # every latent fault has a clear.
+                repair = _member_action(entry, entry.repair) or clear
 
                 def fire_recovery(
                     targets=targets, apply=apply, repair=repair,
-                    index=index, component=component, fault=phase.fault,
+                    index=index, component=entry.component, fault=phase.fault,
                 ) -> None:
                     for member in targets:
                         apply(member)

@@ -121,16 +121,13 @@ def _search_step(
         snapshot, time, keys = queue.popleft()
         for key in EXERCISE_KEYS:
             scratch.restore(snapshot)
-            before = dict(counts)
+            # scratch is private to the search: its counts need only
+            # record what this one press fires.
+            counts.clear()
             scratch.advance(time + gap)
             scratch.inject(key)
             nodes += 1
-            fired = {
-                t.name
-                for t, count in counts.items()
-                if count > before.get(t, 0)
-            }
-            if fired & pending:
+            if any(t.name in pending for t in counts):
                 return keys + (key,)
             signature = _signature(scratch, time + gap, gap)
             if signature in seen or len(keys) + 1 >= _MAX_DEPTH:
@@ -149,10 +146,9 @@ def tv_exercise_script(
 
     Pure function of its arguments: the search is breadth-first with a
     fixed key order, so the same script comes back on every call (the
-    fuzz determinism gate depends on that).  A search costs about
-    0.06 s on a shared 2-CPU host (CPython 3.11.7); under cProfile half
-    of that is ``Machine.dispatch`` and a quarter the fire-count diff
-    after each press.  It runs only on demand: the scenario
+    fuzz determinism gate depends on that).  A search costs
+    0.03-0.05 s on a shared 2-CPU host (CPython 3.11.7), most of it in
+    ``Machine.dispatch``.  It runs only on demand: the scenario
     library registers its default result from :data:`EXERCISE_SCRIPT`.
     The result is cached.
     """

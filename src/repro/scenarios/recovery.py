@@ -299,11 +299,12 @@ class MemberRecovery:
                 )
         targeted = (
             episode is not None
-            # No ground-truth component (a fault outside
-            # FAULT_COMPONENTS) means the simulation cannot decide
-            # whether a component swap would land — a targeted attempt
-            # could never hit, so it would only burn downtime and log a
-            # bogus miss.  Go straight to the full rebind instead.
+            # No ground-truth component (an episode armed without one;
+            # every Fault a recovery phase may carry has one) means the
+            # simulation cannot decide whether a component swap would
+            # land — a targeted attempt could never hit, so it would
+            # only burn downtime and log a bogus miss.  Go straight to
+            # the full rebind instead.
             and episode.component is not None
             and suspect is not None
             and confidence >= self.confidence_threshold

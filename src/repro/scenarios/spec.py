@@ -21,32 +21,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
-#: TV faults toggled through ``control.fault_flags``.
-TV_FLAG_FAULTS = ("volume_overshoot", "mute_noop", "menu_opens_epg")
-
-#: Every ``(kind, fault)`` pair the compiler knows how to apply.  Faults
-#: in :data:`LOAD_FAULTS` are load/churn disturbances rather than latent
-#: defects: they do not mark their targets "faulty" for detection-rate
-#: accounting.
-KNOWN_FAULTS = frozenset(
-    [("tv", name) for name in TV_FLAG_FAULTS]
-    + [
-        ("tv", "drop_ttx_notify"),
-        ("tv", "ttx_stale_render"),
-        ("tv", "alert_broadcast"),
-        ("tv", "monitor_churn"),
-        ("player", "stall_on_corrupt"),
-        ("player", "decode_slowdown"),
-        ("printer", "silent_jam"),
-        ("printer", "cold_fuser"),
-        ("printer", "lost_staples"),
-        ("printer", "job_burst"),
-    ]
-)
-
-LOAD_FAULTS = frozenset(
-    [("tv", "alert_broadcast"), ("tv", "monitor_churn"), ("printer", "job_burst")]
-)
+from ..faults import FAULTS
 
 
 def _opt_tuple(value) -> Optional[Tuple[str, ...]]:
@@ -176,8 +151,9 @@ class FaultPhase:
 
     @property
     def marks_faulty(self) -> bool:
-        """Whether targets count as fault-injected for detection rates."""
-        return (self.kind, self.fault) not in LOAD_FAULTS
+        """Whether targets count as fault-injected for detection rates:
+        latent faults do, load disturbances (no component) do not."""
+        return FAULTS[(self.kind, self.fault)].component is not None
 
     def to_json(self) -> Dict[str, Any]:
         data: Dict[str, Any] = {
@@ -207,7 +183,7 @@ class FaultPhase:
         )
 
     def validate(self) -> None:
-        if (self.kind, self.fault) not in KNOWN_FAULTS:
+        if (self.kind, self.fault) not in FAULTS:
             raise ValueError(f"unknown fault {self.fault!r} for kind {self.kind!r}")
         if self.at < 0:
             raise ValueError(f"fault {self.fault!r}: at must be >= 0")

@@ -3,21 +3,12 @@
 The paper's terminology ([1], Sect. 2): a **fault** (programming mistake,
 unexpected input) causes an **error** (bad state) which may lead to a
 **failure** (user-visible wrong behaviour).  Each :class:`FaultSpec` here
-is a fault in that sense: a latent defect that activates under a trigger
-condition and corrupts behaviour at a specific code location (its block
-set in :class:`~repro.tv.software.SoftwareBuild` is the diagnosis ground
-truth).
-
-Catalogue (all user-visible through the screen/sound observables):
-
-* ``drop_ttx_notify``   — channel-change notification to the teletext
-  acquirer is lost (the Sect. 4.3 synchronization fault);
-* ``ttx_stale_render``  — teletext renderer serves pages from a stale
-  cache entry (the Sect. 4.4 injected teletext error);
-* ``volume_overshoot``  — volume handler writes an unscaled register
-  value, slamming volume to an extreme;
-* ``mute_noop``         — mute key handler silently does nothing;
-* ``menu_opens_epg``    — menu handler dispatches to the wrong overlay.
+schedules one of the TV's latent faults from :data:`repro.faults.FAULTS`
+(``drop_ttx_notify``, ``ttx_stale_render``, ``volume_overshoot``,
+``mute_noop``, ``menu_opens_epg``): a defect that ships dormant,
+activates under a trigger condition and corrupts behaviour at a specific
+code location (its block set in :class:`~repro.tv.software.SoftwareBuild`
+is the diagnosis ground truth).
 """
 
 from __future__ import annotations
@@ -25,15 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from ..faults import FAULTS, latent_faults
 from .tvset import TVSet
 
 
 @dataclass
 class FaultSpec:
-    """One injectable fault."""
+    """One fault of a :class:`FaultInjector` plan."""
 
     name: str
-    description: str
     #: Key-press count after which the fault becomes active (latency of a
     #: field defect: it ships dormant, then conditions activate it).
     activate_after_presses: int = 0
@@ -51,15 +42,10 @@ class FaultInjector:
 
     # ------------------------------------------------------------------
     def inject(self, name: str, activate_after_presses: int = 0) -> FaultSpec:
-        """Register a fault from the catalogue."""
-        maker = getattr(self, f"_apply_{name}", None)
-        if maker is None:
+        """Register one of the TV's latent faults."""
+        if name not in latent_faults("tv"):
             raise ValueError(f"unknown fault {name!r}")
-        spec = FaultSpec(
-            name=name,
-            description=maker.__doc__ or name,
-            activate_after_presses=activate_after_presses,
-        )
+        spec = FaultSpec(name=name, activate_after_presses=activate_after_presses)
         self.plan[name] = spec
         if activate_after_presses == 0:
             self._activate(spec)
@@ -70,9 +56,7 @@ class FaultInjector:
         spec = self.plan.get(name)
         if spec is None or not spec.active:
             return
-        remover = getattr(self, f"_remove_{name}", None)
-        if remover is not None:
-            remover()
+        FAULTS[("tv", name)].clear(self.tv)
         spec.active = False
 
     def active_faults(self) -> List[str]:
@@ -90,43 +74,5 @@ class FaultInjector:
                 self._activate(spec)
 
     def _activate(self, spec: FaultSpec) -> None:
-        getattr(self, f"_apply_{spec.name}")()
+        FAULTS[("tv", spec.name)].apply(self.tv)
         spec.active = True
-
-    # ------------------------------------------------------------------
-    # fault implementations
-    # ------------------------------------------------------------------
-    def _apply_drop_ttx_notify(self) -> None:
-        """Lose channel-change notifications to the teletext acquirer."""
-        self.tv.teletext.inject_sync_loss()
-
-    def _remove_drop_ttx_notify(self) -> None:
-        self.tv.teletext.repair_sync()
-
-    def _apply_ttx_stale_render(self) -> None:
-        """Teletext renderer pins a stale cache generation."""
-        self.tv.teletext.inject_stale_render()
-
-    def _remove_ttx_stale_render(self) -> None:
-        self.tv.teletext.repair_stale_render()
-
-    def _apply_volume_overshoot(self) -> None:
-        """Volume handler writes an unscaled hardware register value."""
-        self.tv.control.fault_flags["volume_overshoot"] = True
-
-    def _remove_volume_overshoot(self) -> None:
-        self.tv.control.fault_flags["volume_overshoot"] = False
-
-    def _apply_mute_noop(self) -> None:
-        """Mute key handler does nothing."""
-        self.tv.control.fault_flags["mute_noop"] = True
-
-    def _remove_mute_noop(self) -> None:
-        self.tv.control.fault_flags["mute_noop"] = False
-
-    def _apply_menu_opens_epg(self) -> None:
-        """Menu handler dispatches to the EPG overlay instead."""
-        self.tv.control.fault_flags["menu_opens_epg"] = True
-
-    def _remove_menu_opens_epg(self) -> None:
-        self.tv.control.fault_flags["menu_opens_epg"] = False

@@ -18,7 +18,8 @@ The module map (sizes chosen so a 27-press scenario executes ≈13 800 of
 * ``drivers_var``    10 000 blocks, ~3% activated per step (interrupt and
   data-dependent driver paths);
 * one module per key handler plus per-subsystem logic modules;
-* one tiny module per *injectable fault branch* (the ground truth);
+* one tiny module per *injectable fault branch* (the ground truth): the
+  TV's latent faults of :data:`repro.faults.FAULTS`, in catalogue order;
 * ``cold_features``   the remainder — code never exercised by the scenario
   (other input sources, service menus, factory modes).
 """
@@ -30,6 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..faults import latent_faults
 from .remote import KEYS
 
 
@@ -82,13 +84,6 @@ class SoftwareBuild:
         ("standby_logic", 80),
     )
     FAULT_MODULE_SIZE = 4
-    KNOWN_FAULTS: Tuple[str, ...] = (
-        "drop_ttx_notify",
-        "ttx_stale_render",
-        "volume_overshoot",
-        "mute_noop",
-        "menu_opens_epg",
-    )
 
     def __init__(self, seed: int = 0, total_blocks: int = 60000) -> None:
         self.seed = seed
@@ -101,7 +96,7 @@ class SoftwareBuild:
             cursor = self._add(f"handler_{key}", self.HANDLER_MODULE_SIZE, cursor)
         for name, size in self.LOGIC_MODULES:
             cursor = self._add(name, size, cursor)
-        for fault in self.KNOWN_FAULTS:
+        for fault in latent_faults("tv"):
             cursor = self._add(f"fault_{fault}", self.FAULT_MODULE_SIZE, cursor)
         if cursor > total_blocks:
             raise ValueError(

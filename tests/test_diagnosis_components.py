@@ -13,14 +13,13 @@ import pytest
 from repro.core.contract import ErrorReport
 from repro.diagnosis.components import (
     COMPONENTS,
-    FAULT_COMPONENTS,
     ComponentSpectra,
     classify_player_event,
     classify_printer_event,
     classify_tv_event,
 )
+from repro.faults import FAULTS
 from repro.runtime.bus import EventBus
-from repro.scenarios.spec import KNOWN_FAULTS, LOAD_FAULTS
 from repro.tv.remote import KeyPress
 
 
@@ -50,11 +49,14 @@ def test_player_and_printer_classification():
 
 
 def test_every_recoverable_fault_has_a_component_in_vocabulary():
-    for (kind, fault), component in FAULT_COMPONENTS.items():
-        assert component in COMPONENTS[kind], (kind, fault)
-    # every non-load scenario fault is localizable
-    for kind, fault in KNOWN_FAULTS - LOAD_FAULTS:
-        assert (kind, fault) in FAULT_COMPONENTS, (kind, fault)
+    latent = [key for key, fault in FAULTS.items() if fault.component is not None]
+    assert latent
+    for (kind, name) in latent:
+        fault = FAULTS[(kind, name)]
+        assert fault.component in COMPONENTS[kind], (kind, name)
+        # a recovery phase repairs with clear (or repair), so a latent
+        # fault without one could be detected but never cleared
+        assert fault.clear is not None, (kind, name)
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ telemetry for a fixed seed).
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -172,12 +173,21 @@ def test_register_scenario_rejects_duplicates():
         register_scenario(get_scenario("zapping-storm"))
 
 
+#: Digests of every library scenario at scaled(0.5), seed 11; rewrite
+#: with ``python tools/rebaseline.py`` when a change moves them on purpose.
+GOLDEN_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden_digests.json").read_text()
+)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_library_scenario_runs_and_is_deterministic(name):
     """Acceptance: each named scenario runs through the campaign surface
-    with a byte-identical telemetry summary for a fixed seed."""
+    with a byte-identical telemetry summary for a fixed seed, and its
+    digests equal the pinned ones."""
     spec = get_scenario(name).scaled(0.5)  # half-size fleets keep this fast
-    first = run_cell_detailed(spec, seed=11).fleet_report
+    cell = run_cell_detailed(spec, seed=11)
+    first = cell.fleet_report
     second = run_cell_detailed(spec, seed=11).fleet_report
     assert first.dispatched == second.dispatched
     assert first.trace_digest == second.trace_digest
@@ -186,6 +196,19 @@ def test_every_library_scenario_runs_and_is_deterministic(name):
     assert first_bytes == second_bytes
     assert first.members > 0
     assert first.dispatched > 0
+    measured = {
+        "trace_digest": first.trace_digest,
+        "telemetry_digest": cell.report.telemetry_digest,
+        "span_digest": cell.report.span_digest,
+    }
+    assert name in GOLDEN_DIGESTS, (
+        f"{name}: no pinned digests (tools/rebaseline.py adds them)"
+    )
+    for field, pinned in GOLDEN_DIGESTS[name].items():
+        assert measured[field] == pinned, (
+            f"{name}: {field} moved from {pinned or '-'} to "
+            f"{measured[field] or '-'} (tools/rebaseline.py rewrites the table)"
+        )
 
 
 # ----------------------------------------------------------------------

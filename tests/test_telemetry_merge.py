@@ -115,16 +115,6 @@ def test_merged_reservoir_is_bounded_and_deterministic():
         first["latency"]["p99"]
 
 
-def test_merge_without_samples_falls_back_to_weighted_quantiles():
-    a = _synthetic(100, [1.0]); del a["latency"]["samples"]
-    a["latency"].update({"p50": 1.0, "p90": 1.0, "p99": 1.0})
-    b = _synthetic(300, [3.0]); del b["latency"]["samples"]
-    b["latency"].update({"p50": 3.0, "p90": 3.0, "p99": 3.0})
-    merged = merge_summaries([a, b])
-    assert merged["latency"]["p50"] == pytest.approx(2.5)
-    assert "samples" not in merged["latency"]
-
-
 def test_merge_rejects_empty_input():
     with pytest.raises(ValueError):
         merge_summaries([])

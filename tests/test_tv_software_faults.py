@@ -65,6 +65,21 @@ class TestSoftwareBuild:
         module = build.module_of_block(min(blocks))
         assert module.name == "fault_ttx_stale_render"
 
+    def test_fault_modules_keep_their_block_ranges(self):
+        # The Sect. 4.4 E1 tables rank these blocks: reordering the fault
+        # catalogue must not shift them.
+        build = SoftwareBuild()
+        order = (
+            "drop_ttx_notify", "ttx_stale_render", "volume_overshoot",
+            "mute_noop", "menu_opens_epg",
+        )
+        assert [n for n in build.modules if n.startswith("fault_")] == [
+            f"fault_{name}" for name in order
+        ]
+        for index, name in enumerate(order):
+            start = 22980 + SoftwareBuild.FAULT_MODULE_SIZE * index
+            assert build.fault_blocks(name) == frozenset(range(start, start + 4))
+
     def test_fault_tag_maps_to_fault_blocks(self):
         build = SoftwareBuild()
         blocks = build.blocks_for_handler(
@@ -76,8 +91,10 @@ class TestSoftwareBuild:
 class TestFaultInjector:
     def test_unknown_fault_rejected(self):
         tv = TVSet(seed=1)
-        with pytest.raises(ValueError):
-            FaultInjector(tv).inject("cosmic_ray")
+        # load disturbances act on a fleet, not on one TV's defect plan
+        for name in ("cosmic_ray", "alert_broadcast", "monitor_churn"):
+            with pytest.raises(ValueError):
+                FaultInjector(tv).inject(name)
 
     def test_immediate_activation(self):
         tv = TVSet(seed=1)
