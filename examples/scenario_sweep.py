@@ -54,7 +54,7 @@ def main() -> None:
     drill = next(r for r in reports
                  if r.scenario == "recovery-ladder-drill" and r.seed == 1)
     summary = drill.telemetry_summary
-    print(f"\nrecovery-ladder-drill seed 1, through the telemetry hub:")
+    print("\nrecovery-ladder-drill seed 1, through the telemetry hub:")
     print(f"  {summary['suos']} SUOs, {summary['events_total']} suo events "
           f"({summary['events_by_kind']})")
     latency = summary["latency"]

@@ -1,11 +1,10 @@
 """The run-time awareness framework of Fig. 2."""
 
-from .channel import Message, MessageChannel
+from .channel import MessageChannel
 from .comparator import Comparator, ComparatorStats, deviation_magnitude
 from .config import EVENT_BASED, TIME_BASED, AwarenessConfig, ObservableSpec
 from .controller import Controller
 from .executor import ModelExecutor
-from .input_observer import InputObserver
 from .modes import (
     ModeConsistencyChecker,
     ModeRule,
@@ -21,7 +20,6 @@ from .monitor import (
     resync_player_monitor,
     resync_tv_monitor,
 )
-from .output_observer import OutputObserver
 
 __all__ = [
     "AwarenessConfig",
@@ -30,14 +28,11 @@ __all__ = [
     "ComparatorStats",
     "Controller",
     "EVENT_BASED",
-    "InputObserver",
-    "Message",
     "MessageChannel",
     "ModeConsistencyChecker",
     "ModeRule",
     "ModelExecutor",
     "ObservableSpec",
-    "OutputObserver",
     "TIME_BASED",
     "default_player_config",
     "default_tv_config",

@@ -5,30 +5,22 @@ monitor, crossed via Unix domain sockets.  That boundary is not a detail:
 Sect. 4.3 reports that "small delays in system-internal communication
 might easily lead to differences during a short time interval", which is
 the whole reason the Comparator grew thresholds and consecutive-deviation
-counters.  :class:`MessageChannel` reproduces it — every message is
-delivered after ``delay`` plus seeded jitter, preserving order.
+counters.  :class:`MessageChannel` reproduces it — every datagram (one
+:class:`~repro.core.contract.Observation`) is delivered after ``delay``
+plus seeded jitter, preserving order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from ..sim.kernel import Kernel
+from ..core.contract import Observation
+from ..sim.kernel import Event, Kernel
 from ..sim.random import RandomStreams
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
-    """One datagram crossing the process boundary."""
-
-    sent_at: float
-    kind: str
-    payload: Any
-
-
 class MessageChannel:
-    """Ordered, delayed delivery of messages to a receiver callback."""
+    """Ordered, delayed delivery of observations to receiver callbacks."""
 
     def __init__(
         self,
@@ -45,50 +37,48 @@ class MessageChannel:
         self.delay = delay
         self.jitter = jitter
         self._rng = (streams or RandomStreams(0)).stream(f"channel:{name}")
-        self.receivers: List[Callable[[Message], None]] = []
+        self.receivers: List[Callable[[Observation], None]] = []
         self.sent = 0
         self.delivered = 0
         self.flushed = 0
         self._last_delivery_time = 0.0
-        #: Delivery events still scheduled on the kernel (socket buffer).
-        #: Only *undelivered* events live here (the front entry is popped
-        #: at delivery before any receiver runs).
-        self._in_flight: List[Any] = []
+        #: ``(delivery event, datagram)`` pairs still scheduled on the
+        #: kernel (the socket buffer), in send order.  A plain list, not
+        #: a deque: it rarely holds more than a few entries, and an empty
+        #: deque costs 760 B against a list's 56 B on every channel.
+        self._in_flight: List[Tuple[Event, Observation]] = []
         self._event_name = f"chan:{name}"
 
-    def connect(self, receiver: Callable[[Message], None]) -> None:
+    def connect(self, receiver: Callable[[Observation], None]) -> None:
         self.receivers.append(receiver)
 
-    def send(self, kind: str, payload: Any) -> Message:
-        """Queue a message; it arrives after delay + jitter, in order."""
+    def send(self, datagram: Observation) -> None:
+        """Queue a datagram; it arrives after delay + jitter, in order."""
         now = self.kernel.now
-        message = Message(now, kind, payload)
         self.sent += 1
         latency = self.delay + (self._rng.random() * self.jitter)
         # Preserve FIFO even under jitter: never deliver before the
-        # previously queued message (sockets are ordered streams).
+        # previously queued datagram (sockets are ordered streams).
         deliver_at = max(now + latency, self._last_delivery_time)
         self._last_delivery_time = deliver_at
         event = self.kernel.schedule_at(
-            deliver_at, lambda: self._deliver(message),
-            name=self._event_name,
+            deliver_at, self._deliver, name=self._event_name
         )
-        self._in_flight.append(event)
-        return message
+        self._in_flight.append((event, datagram))
 
     def pending(self) -> int:
-        """Messages sent but not yet delivered (nor flushed)."""
+        """Datagrams sent but not yet delivered (nor flushed)."""
         return len(self._in_flight)
 
     def flush_pending(self) -> int:
-        """Drop every in-flight message; returns how many were dropped.
+        """Drop every in-flight datagram; returns how many were dropped.
 
         Models closing and reopening the socket: a restarting monitor
         must not receive datagrams from before its re-sync snapshot, or
         it would apply them to a model that already reflects them.
         """
         dropped = 0
-        for event in self._in_flight:
+        for event, _datagram in self._in_flight:
             if not event.cancelled:
                 event.cancel()
                 dropped += 1
@@ -96,11 +86,10 @@ class MessageChannel:
         self.flushed += dropped
         return dropped
 
-    def _deliver(self, message: Message) -> None:
+    def _deliver(self) -> None:
         self.delivered += 1
         # Deliveries happen in send order (FIFO clamp above) and flushed
-        # events never reach here, so the front entry is always ours.
-        if self._in_flight:
-            self._in_flight.pop(0)
+        # events never reach here, so the front entry is this event's.
+        _event, datagram = self._in_flight.pop(0)
         for receiver in self.receivers:
-            receiver(message)
+            receiver(datagram)

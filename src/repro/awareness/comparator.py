@@ -23,7 +23,6 @@ from ..core.contract import ErrorReport, Observation
 from ..sim.kernel import Kernel
 from .config import AwarenessConfig, ObservableSpec
 from .executor import ModelExecutor
-from .output_observer import OutputObserver
 
 
 def deviation_magnitude(expected: Any, actual: Any) -> float:
@@ -90,17 +89,20 @@ class Comparator:
         kernel: Kernel,
         config: AwarenessConfig,
         executor: ModelExecutor,
-        outputs: OutputObserver,
+        on_error: Callable[[ErrorReport], None],
         name: str = "comparator",
     ) -> None:
         self.kernel = kernel
         self.config = config
         self.executor = executor
-        self.outputs = outputs
+        #: IErrorNotify: the monitor's Controller.
+        self.on_error = on_error
         self.name = name
         self.stats = ComparatorStats()
-        self.error_listeners: List[Callable[[ErrorReport], None]] = []
         self.reports: List[ErrorReport] = []
+        #: The Output Observer role of Fig. 2: the most recent observation
+        #: of every SUO observable.
+        self.latest: Dict[str, Observation] = {}
         self._streaks: Dict[str, _Streak] = {}
         self.running = False
         #: Bumped on every start: a pending timed sample from a previous
@@ -123,22 +125,20 @@ class Comparator:
     def stop(self) -> None:
         self.running = False
 
-    # -- IErrorNotify ------------------------------------------------------
-    def subscribe_errors(self, listener: Callable[[ErrorReport], None]) -> None:
-        self.error_listeners.append(listener)
-
     # -- event-based triggers ------------------------------------------------
     def on_output_event(self, observation: Observation) -> None:
-        """IOutputEvent: system produced an output — compare it."""
+        """IOutputEvent: system produced an output — record and compare it."""
         if not self.running:
             return
-        spec = self.config.spec(observation.name)
+        name = observation.name
+        self.latest[name] = observation
+        spec = self.config.spec(name)
         if spec is None or not spec.event_based:
             return
         self.executor.sync_time(self.kernel.now)
         self._compare_one(spec)
 
-    def on_model_step(self, observation: Observation) -> None:
+    def on_model_step(self) -> None:
         """IModelExecutor: the model stepped — re-check event observables."""
         if not self.running:
             return
@@ -172,7 +172,7 @@ class Comparator:
             return
         if name not in self.executor.providers:
             return
-        observation = self.outputs.latest.get(name)
+        observation = self.latest.get(name)
         if observation is None:
             return  # nothing observed yet
         actual = observation.value
@@ -214,8 +214,7 @@ class Comparator:
         )
         self.reports.append(report)
         self.stats.errors_reported += 1
-        for listener in self.error_listeners:
-            listener(report)
+        self.on_error(report)
 
     # -- status queries ------------------------------------------------------
     def deviating_observables(self) -> List[str]:

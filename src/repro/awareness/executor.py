@@ -1,10 +1,11 @@
 """Model Executor (Fig. 2).
 
-Runs the executable specification model on the input events the Input
-Observer reports.  The paper generates C code from Stateflow and runs it
-in this component; we execute the :class:`~repro.statemachine.machine.
-Machine` directly — same observable semantics, swap-friendly ("allowing
-quick experiments with different models").
+Runs the executable specification model on the input events the
+monitor's Input Observer role reports.  The paper generates C code from
+Stateflow and runs it in this component; we execute the
+:class:`~repro.statemachine.machine.Machine` directly — same observable
+semantics, swap-friendly ("allowing quick experiments with different
+models").
 
 The executor also *controls the Configuration component* (per Fig. 2's
 IConfigInfo arrow): models can mark unstable phases during which
@@ -13,7 +14,7 @@ comparison is disabled, via an ``unstable_when`` predicate.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..core.contract import Observation
 from ..statemachine.machine import Machine
@@ -45,38 +46,25 @@ class ModelExecutor:
         self.name = name
         self.steps = 0
         self.ignored_events = 0
-        self.step_listeners: List[Callable[[Observation], None]] = []
-        self.running = False
-
-    # -- IControl ------------------------------------------------------
-    def start(self) -> None:
-        self.running = True
-
-    def stop(self) -> None:
-        self.running = False
-
-    # -- wiring ----------------------------------------------------------
-    def subscribe_steps(self, listener: Callable[[Observation], None]) -> None:
-        """IModelExecutor: notify after each executed model step."""
-        self.step_listeners.append(listener)
 
     # -- IEventInfo callback ------------------------------------------------
-    def on_input(self, observation: Observation) -> None:
-        """An observed input event: advance and step the model."""
-        if not self.running:
-            return
+    def on_input(self, observation: Observation) -> bool:
+        """An observed input event: advance and step the model.
+
+        Returns whether the model stepped (the monitor then notifies the
+        comparator over IModelExecutor).
+        """
         translated = self.translator(observation)
         if translated is None:
             self.ignored_events += 1
-            return
+            return False
         event_name, params = translated
         if observation.time > self.machine.time:
             self.machine.advance(observation.time)
         self.machine.inject(event_name, **params)
         self.steps += 1
         self._update_stability()
-        for listener in self.step_listeners:
-            listener(observation)
+        return True
 
     # -- time sync (for time-based comparison) ------------------------------
     def sync_time(self, now: float) -> None:

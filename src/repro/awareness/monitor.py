@@ -1,18 +1,23 @@
 """AwarenessMonitor: the complete Fig. 2 assembly.
 
 Builds and wires every framework component — channels across the process
-boundary, Input/Output Observers, Model Executor, Comparator, Controller,
-Configuration — exactly along the figure's interfaces:
+boundary, Model Executor, Comparator, Controller, Configuration — along
+the figure's interfaces.  Each datagram is one
+:class:`~repro.core.contract.Observation`, wired directly to its one
+consumer; the two observer roles need no objects of their own:
 
-* SUO  →(IInputEvent)→  Input Observer  →(IEventInfo)→  Model Executor
-* SUO  →(IOutputEvent)→ Output Observer →(IOutputEvent)→ Comparator
+* SUO  →(IInputEvent)→  input channel → :meth:`AwarenessMonitor._on_input`
+  (the Input Observer) →(IEventInfo)→ Model Executor
+* SUO  →(IOutputEvent)→ output channel →
+  :meth:`Comparator.on_output_event` (the Output Observer: it keeps the
+  latest value per observable in ``Comparator.latest``)
 * Model Executor →(IModelExecutor)→ Comparator
 * Model Executor →(IConfigInfo)→ Configuration
 * Comparator →(IErrorNotify)→ Controller (→ the outer Fig. 1 loop)
 
 :func:`make_tv_monitor` and :func:`make_player_monitor` add the "SUO
 modifications": the small adaptation that makes a system send its input
-and output events to the observers.
+and output events across the boundary.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ from .comparator import Comparator
 from .config import AwarenessConfig
 from .controller import Controller
 from .executor import EventTranslator, ExpectedProvider, ModelExecutor
-from .input_observer import InputObserver
-from .output_observer import OutputObserver
 
 
 class AwarenessMonitor:
@@ -74,31 +77,19 @@ class AwarenessMonitor:
             kernel, f"{name}.out", delay=channel_delay, jitter=channel_jitter, streams=streams
         )
 
-        self.input_observer = InputObserver(f"{name}.input-observer")
-        self.output_observer = OutputObserver(f"{name}.output-observer")
         self.executor = ModelExecutor(
             machine, translator, providers, self.config, name=f"{name}.executor"
         )
+        self.controller = Controller(f"{name}.controller")
         self.comparator = Comparator(
-            kernel, self.config, self.executor, self.output_observer,
+            kernel, self.config, self.executor, self.controller.on_error,
             name=f"{name}.comparator",
         )
-        self.controller = Controller(f"{name}.controller")
 
         # wiring along Fig. 2 interfaces --------------------------------
-        self.input_observer.connect_channel(self.input_channel)
-        self.output_observer.connect_channel(self.output_channel)
-        self.input_observer.subscribe(self.executor.on_input)
-        self.executor.subscribe_steps(self.comparator.on_model_step)
-        self.output_observer.subscribe(self.comparator.on_output_event)
-        self.comparator.subscribe_errors(self.controller.on_error)
-        for component in (
-            self.input_observer,
-            self.output_observer,
-            self.executor,
-            self.comparator,
-        ):
-            self.controller.manage(component)
+        self.input_channel.connect(self._on_input)
+        self.output_channel.connect(self.comparator.on_output_event)
+        self.controller.manage(self.comparator)
 
         #: Re-sync handshake run on every restart (see
         #: :meth:`attach_resync`); ``resyncs`` counts invocations.
@@ -114,7 +105,7 @@ class AwarenessMonitor:
         model executor would replay expectations from a stale state and
         false-alarm on every divergence it "missed" (the monitor-churn
         scenario made this visible).  The handshake re-seeds the model —
-        and the output observer's last-seen values — from the SUO's
+        and the comparator's last-seen outputs — from the SUO's
         *current* observable state before components restart.
         """
         self._resync = handshake
@@ -141,12 +132,20 @@ class AwarenessMonitor:
     def errors(self):
         return self.controller.errors
 
+    # -- Input Observer ---------------------------------------------------
+    def _on_input(self, observation: Observation) -> None:
+        """An input event crossed the boundary: step the model
+        (IEventInfo), then let the comparator re-check (IModelExecutor)."""
+        comparator = self.comparator
+        if comparator.running and self.executor.on_input(observation):
+            comparator.on_model_step()
+
     # -- SUO-side send helpers (used by the adapters) --------------------
     def send_input(self, name: str, value: Any, time: float) -> None:
-        self.input_channel.send("input", {"name": name, "value": value, "time": time})
+        self.input_channel.send(Observation(time, "suo", name, value))
 
     def send_output(self, name: str, value: Any, time: float) -> None:
-        self.output_channel.send("output", {"name": name, "value": value, "time": time})
+        self.output_channel.send(Observation(time, "suo", name, value))
 
 
 # ----------------------------------------------------------------------
@@ -169,8 +168,8 @@ def resync_tv_monitor(monitor: "AwarenessMonitor", tv: TVSet) -> None:
     The model adopts the SUO's *actual* state as its new baseline: the
     active overlay maps to the model leaf (with transient-overlay timers
     re-armed at the TV's true expiry instants), control variables copy
-    the component state the user could observe, and the output
-    observer's last-seen values refresh to the current screen/sound so
+    the component state the user could observe, and the comparator's
+    last-seen outputs refresh to the current screen/sound so
     timed comparisons do not run against pre-stop observations.  An
     active fault is *not* masked for long — the adopted baseline matches
     reality right now, and the next interaction that exercises the
@@ -211,7 +210,7 @@ def resync_tv_monitor(monitor: "AwarenessMonitor", tv: TVSet) -> None:
         ("screen", tv.screen_descriptor()),
         ("sound", tv.sound_level()),
     ):
-        monitor.output_observer.latest[name] = Observation(
+        monitor.comparator.latest[name] = Observation(
             time=now, source="suo", name=name, value=value
         )
     monitor.comparator.reset()
@@ -247,7 +246,7 @@ def resync_player_monitor(monitor: "AwarenessMonitor", player) -> None:
         ("progressing", True),
         ("pace", True),
     ):
-        monitor.output_observer.latest[name] = Observation(
+        monitor.comparator.latest[name] = Observation(
             time=now, source="suo", name=name, value=value
         )
     monitor.comparator.reset()

@@ -48,6 +48,7 @@ from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
 from ..runtime.bus import EventBus, Subscription
+from ..runtime.telemetry import DIGITS
 
 #: Marker kinds the recorder understands (the ``ev`` key of dicts
 #: published on ``obs.<suo_id>.span``).
@@ -62,8 +63,8 @@ DEFAULT_RESERVOIR = 64
 DEFAULT_RING = 256
 
 
-def _round(value: Optional[float], digits: int = 9) -> Optional[float]:
-    return round(value, digits) if value is not None else None
+def _round(value: Optional[float]) -> Optional[float]:
+    return round(value, DIGITS) if value is not None else None
 
 
 class _Episode:

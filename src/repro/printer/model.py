@@ -284,7 +284,7 @@ def resync_printer_monitor(monitor: AwarenessMonitor, printer: Printer) -> None:
         ("page_rate", round(printer.page_rate(), 3)),
         ("progressing", True),
     ):
-        monitor.output_observer.latest[name] = Observation(
+        monitor.comparator.latest[name] = Observation(
             time=now, source="suo", name=name, value=value
         )
     monitor.comparator.reset()

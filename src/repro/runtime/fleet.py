@@ -221,11 +221,12 @@ class MonitorFleet:
                 lambda report, _publish=publish: _publish(report)
             )
             # Sample process-boundary delivery latency into the bounded
-            # reservoir (delivery time minus send time, simulated units).
+            # reservoir (delivery time minus the observation's send-time
+            # stamp, simulated units).
             for channel in (monitor.input_channel, monitor.output_channel):
                 channel.connect(
-                    lambda message: self.telemetry.observe_latency(
-                        self.kernel.now - message.sent_at
+                    lambda observation: self.telemetry.observe_latency(
+                        self.kernel.now - observation.time
                     )
                 )
         if self.span_recorder is not None:

@@ -32,6 +32,10 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .bus import EventBus, Subscription
 
+#: Decimal places every float in a telemetry or span summary is rounded
+#: to, so the canonical JSON (and its digest) is byte-stable.
+DIGITS = 9
+
 
 class CounterSet:
     """Named monotonic counters with a canonical sorted view."""
@@ -168,11 +172,11 @@ class ReservoirHistogram:
     def retained(self) -> int:
         return len(self._samples)
 
-    def samples(self, digits: int = 9) -> List[float]:
+    def samples(self) -> List[float]:
         """The retained sample, in retention order (rounded for
         canonical JSON).  Shard workers ship this so
         :func:`merge_summaries` can re-sample the merged reservoir."""
-        return [round(value, digits) for value in self._samples]
+        return [round(value, DIGITS) for value in self._samples]
 
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -185,16 +189,16 @@ class ReservoirHistogram:
         rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
         return ordered[rank]
 
-    def stats(self, digits: int = 9) -> Dict[str, Any]:
+    def stats(self) -> Dict[str, Any]:
         """Canonical JSON-friendly stat block (rounded for stability)."""
         return {
             "count": self.count,
-            "mean": round(self.mean(), digits),
-            "min": round(self.min, digits) if self.min is not None else 0.0,
-            "p50": round(self.quantile(0.50), digits),
-            "p90": round(self.quantile(0.90), digits),
-            "p99": round(self.quantile(0.99), digits),
-            "max": round(self.max, digits) if self.max is not None else 0.0,
+            "mean": round(self.mean(), DIGITS),
+            "min": round(self.min, DIGITS) if self.min is not None else 0.0,
+            "p50": round(self.quantile(0.50), DIGITS),
+            "p90": round(self.quantile(0.90), DIGITS),
+            "p99": round(self.quantile(0.99), DIGITS),
+            "max": round(self.max, DIGITS) if self.max is not None else 0.0,
             "retained": self.retained,
         }
 
@@ -241,11 +245,11 @@ class RecoveryStats:
             entry["max"] = max(entry["max"], ttr)
             entry["sum"] += ttr
 
-    def summary(self, samples: bool = False, digits: int = 9) -> Dict[str, Any]:
+    def summary(self, samples: bool = False) -> Dict[str, Any]:
         """Canonical JSON-friendly view (see :meth:`FleetTelemetry.summary`)."""
-        ttr = self.ttr.stats(digits)
+        ttr = self.ttr.stats()
         if samples:
-            ttr["samples"] = self.ttr.samples(digits)
+            ttr["samples"] = self.ttr.samples()
         return {
             "recovered": self.ttr.count,
             "actions": self.actions.as_dict(),
@@ -253,9 +257,9 @@ class RecoveryStats:
             "waves": {
                 wave: {
                     "count": int(entry["count"]),
-                    "min": round(entry["min"], digits),
-                    "max": round(entry["max"], digits),
-                    "mean": round(entry["sum"] / entry["count"], digits),
+                    "min": round(entry["min"], DIGITS),
+                    "max": round(entry["max"], DIGITS),
+                    "mean": round(entry["sum"] / entry["count"], DIGITS),
                 }
                 for wave, entry in sorted(self.waves.items())
             },
@@ -328,16 +332,16 @@ class DiagnosisStats:
         if ttr is not None and mode in self.ttr:
             self.ttr[mode].add(float(ttr))
 
-    def summary(self, samples: bool = False, digits: int = 9) -> Dict[str, Any]:
+    def summary(self, samples: bool = False) -> Dict[str, Any]:
         """Canonical JSON-friendly view (see :meth:`FleetTelemetry.summary`)."""
         ranked = self.ranks.total()
         rank_first = self.ranks.get("1")
         total = self.rebinds.total()
         ttr: Dict[str, Any] = {}
         for mode in sorted(self.ttr):
-            block = self.ttr[mode].stats(digits)
+            block = self.ttr[mode].stats()
             if samples:
-                block["samples"] = self.ttr[mode].samples(digits)
+                block["samples"] = self.ttr[mode].samples()
             ttr[mode] = block
         return {
             "rebinds": self.rebinds.as_dict(),
@@ -346,10 +350,10 @@ class DiagnosisStats:
             "hits": self.hits,
             "misses": self.misses,
             "localization_accuracy": (
-                round(rank_first / ranked, digits) if ranked else 0.0
+                round(rank_first / ranked, DIGITS) if ranked else 0.0
             ),
             "targeted_rebind_rate": (
-                round(self.rebinds.get("targeted") / total, digits) if total else 0.0
+                round(self.rebinds.get("targeted") / total, DIGITS) if total else 0.0
             ),
             "ttr": ttr,
         }
@@ -494,11 +498,11 @@ class FleetTelemetry:
         if samples:
             latency["samples"] = self.latency.samples()
         result: Dict[str, Any] = {
-            "time": round(self._clock(), 9),
+            "time": round(self._clock(), DIGITS),
             "suos": len(self.per_suo),
             "events_total": self.events_total,
             "events_by_kind": self.kinds.as_dict(),
-            "window_rate": round(self.event_rate.rate(), 9),
+            "window_rate": round(self.event_rate.rate(), DIGITS),
             "latency": latency,
             "errors_total": self.kinds.get("error"),
             "errors_by_suo": self.errors_by_suo(),
@@ -624,7 +628,7 @@ def _merge_dicts(parts: List[Dict[str, int]]) -> Dict[str, int]:
 
 
 def _merge_stat_blocks(
-    blocks: List[Dict[str, Any]], reservoir: int, digits: int
+    blocks: List[Dict[str, Any]], reservoir: int
 ) -> Dict[str, Any]:
     """Merge N :meth:`ReservoirHistogram.stats` blocks into one.
 
@@ -638,7 +642,7 @@ def _merge_stat_blocks(
     nonzero = [block for block in blocks if block.get("count", 0) > 0]
     if nonzero:
         total = sum(block.get("mean", 0.0) * block.get("count", 0) for block in nonzero)
-        merged["mean"] = round(total / total_count, digits)
+        merged["mean"] = round(total / total_count, DIGITS)
         merged["min"] = min(block.get("min", 0.0) for block in nonzero)
         merged["max"] = max(block.get("max", 0.0) for block in nonzero)
     else:
@@ -651,14 +655,14 @@ def _merge_stat_blocks(
         for value in block.get("samples", ()):
             resampler.add(value)
     for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
-        merged[name] = round(resampler.quantile(q), digits)
+        merged[name] = round(resampler.quantile(q), DIGITS)
     merged["retained"] = resampler.retained
-    merged["samples"] = resampler.samples(digits)
+    merged["samples"] = resampler.samples()
     return merged
 
 
 def _merge_recovery(
-    parts: List[Dict[str, Any]], reservoir: int, digits: int
+    parts: List[Dict[str, Any]], reservoir: int
 ) -> Dict[str, Any]:
     """Fold N per-shard recovery blocks into one (exact counts/extrema,
     re-derived means, deterministically re-sampled TTR quantiles)."""
@@ -678,21 +682,21 @@ def _merge_recovery(
                 merged["mean"] = round(
                     (merged["mean"] * merged["count"]
                      + entry.get("mean", 0.0) * count) / total,
-                    digits,
+                    DIGITS,
                 )
                 merged["count"] = total
     return {
         "recovered": sum(part.get("recovered", 0) for part in parts),
         "actions": _merge_dicts([part.get("actions", {}) for part in parts]),
         "ttr": _merge_stat_blocks(
-            [part.get("ttr", {}) for part in parts], reservoir, digits
+            [part.get("ttr", {}) for part in parts], reservoir
         ),
         "waves": {wave: waves[wave] for wave in sorted(waves)},
     }
 
 
 def _merge_diagnosis(
-    parts: List[Dict[str, Any]], reservoir: int, digits: int
+    parts: List[Dict[str, Any]], reservoir: int
 ) -> Dict[str, Any]:
     """Fold N per-shard diagnosis blocks into one (exact counters, exact
     per-mode TTR extrema, deterministically re-sampled quantiles, and
@@ -709,16 +713,15 @@ def _merge_diagnosis(
         "hits": sum(part.get("hits", 0) for part in parts),
         "misses": sum(part.get("misses", 0) for part in parts),
         "localization_accuracy": (
-            round(ranks.get("1", 0) / ranked, digits) if ranked else 0.0
+            round(ranks.get("1", 0) / ranked, DIGITS) if ranked else 0.0
         ),
         "targeted_rebind_rate": (
-            round(rebinds.get("targeted", 0) / total, digits) if total else 0.0
+            round(rebinds.get("targeted", 0) / total, DIGITS) if total else 0.0
         ),
         "ttr": {
             mode: _merge_stat_blocks(
                 [part.get("ttr", {}).get(mode, {}) for part in parts],
                 reservoir,
-                digits,
             )
             for mode in modes
         },
@@ -728,7 +731,6 @@ def _merge_diagnosis(
 def merge_summaries(
     summaries: List[Dict[str, Any]],
     reservoir: int = 512,
-    digits: int = 9,
 ) -> Dict[str, Any]:
     """Pure companion to :meth:`FleetTelemetry.summary`: fold N shard
     summaries into one fleet summary.
@@ -767,17 +769,17 @@ def merge_summaries(
         "suos": sum(s["suos"] for s in summaries),
         "events_total": sum(s["events_total"] for s in summaries),
         "events_by_kind": _merge_dicts([s["events_by_kind"] for s in summaries]),
-        "window_rate": round(sum(s["window_rate"] for s in summaries), digits),
+        "window_rate": round(sum(s["window_rate"] for s in summaries), DIGITS),
         "latency": _merge_stat_blocks(
-            [s.get("latency", {}) for s in summaries], reservoir, digits
+            [s.get("latency", {}) for s in summaries], reservoir
         ),
         "errors_total": sum(s["errors_total"] for s in summaries),
         "errors_by_suo": _merge_dicts([s["errors_by_suo"] for s in summaries]),
         "recovery": _merge_recovery(
-            [s.get("recovery", {}) for s in summaries], reservoir, digits
+            [s.get("recovery", {}) for s in summaries], reservoir
         ),
         "diagnosis": _merge_diagnosis(
-            [s.get("diagnosis", {}) for s in summaries], reservoir, digits
+            [s.get("diagnosis", {}) for s in summaries], reservoir
         ),
     }
     if any("per_suo" in s for s in summaries):

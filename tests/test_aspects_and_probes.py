@@ -116,7 +116,6 @@ class TestExecutorStability:
             config=config,
             unstable_when=lambda m: m.configuration().endswith("unstable"),
         )
-        executor.start()
         return executor, config
 
     def test_unstable_state_disables_comparison(self):
@@ -132,12 +131,6 @@ class TestExecutorStability:
         executor.translator = lambda obs: None
         executor.on_input(Observation(0.0, "suo", "noise", "zzz"))
         assert executor.ignored_events == 1
-        assert executor.steps == 0
-
-    def test_stopped_executor_ignores_input(self):
-        executor, config = self.make_executor()
-        executor.stop()
-        executor.on_input(Observation(0.0, "suo", "cmd", "go"))
         assert executor.steps == 0
 
     def test_expected_unknown_observable_raises(self):

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.awareness import AwarenessConfig, MessageChannel, ObservableSpec
+from repro.core import Observation
 from repro.sim import Kernel, RandomStreams
+
+
+def datagram(value, time=0.0):
+    return Observation(time, "suo", "k", value)
 
 
 class TestMessageChannel:
@@ -11,8 +16,8 @@ class TestMessageChannel:
         kernel = Kernel()
         channel = MessageChannel(kernel, "c", delay=0.5, jitter=0.0)
         received = []
-        channel.connect(lambda m: received.append((kernel.now, m.payload)))
-        channel.send("input", "hello")
+        channel.connect(lambda d: received.append((kernel.now, d.value)))
+        channel.send(datagram("hello"))
         kernel.run()
         assert received == [(0.5, "hello")]
 
@@ -22,29 +27,18 @@ class TestMessageChannel:
             kernel, "c", delay=0.1, jitter=0.5, streams=RandomStreams(7)
         )
         received = []
-        channel.connect(lambda m: received.append(m.payload))
+        channel.connect(lambda d: received.append(d.value))
         for i in range(20):
-            kernel.schedule(i * 0.01, lambda i=i: channel.send("k", i))
+            kernel.schedule(i * 0.01, lambda i=i: channel.send(datagram(i)))
         kernel.run()
         assert received == list(range(20))
-
-    def test_message_metadata(self):
-        kernel = Kernel()
-        channel = MessageChannel(kernel, "c", delay=0.2, jitter=0.0)
-        seen = []
-        channel.connect(seen.append)
-        kernel.schedule(1.0, lambda: channel.send("output", {"x": 1}))
-        kernel.run()
-        message = seen[0]
-        assert message.sent_at == 1.0
-        assert message.kind == "output"
 
     def test_counters(self):
         kernel = Kernel()
         channel = MessageChannel(kernel, "c", delay=0.1, jitter=0.0)
-        channel.connect(lambda m: None)
-        channel.send("k", 1)
-        channel.send("k", 2)
+        channel.connect(lambda d: None)
+        channel.send(datagram(1))
+        channel.send(datagram(2))
         assert channel.sent == 2
         kernel.run()
         assert channel.delivered == 2
@@ -57,9 +51,9 @@ class TestMessageChannel:
         kernel = Kernel()
         channel = MessageChannel(kernel, "c", delay=0.0, jitter=0.0)
         a, b = [], []
-        channel.connect(lambda m: a.append(m.payload))
-        channel.connect(lambda m: b.append(m.payload))
-        channel.send("k", "x")
+        channel.connect(lambda d: a.append(d.value))
+        channel.connect(lambda d: b.append(d.value))
+        channel.send(datagram("x"))
         kernel.run()
         assert a == ["x"] and b == ["x"]
 
@@ -70,9 +64,9 @@ class TestMessageChannel:
                 kernel, "c", delay=0.1, jitter=0.3, streams=RandomStreams(seed)
             )
             times = []
-            channel.connect(lambda m: times.append(kernel.now))
+            channel.connect(lambda d: times.append(kernel.now))
             for i in range(5):
-                kernel.schedule(float(i), lambda: channel.send("k", None))
+                kernel.schedule(float(i), lambda: channel.send(datagram(None)))
             kernel.run()
             return times
 

@@ -82,6 +82,33 @@ def test_resync_flushes_in_flight_messages():
     assert monitor.errors == []
 
 
+def test_stopped_monitor_ignores_datagrams_in_flight():
+    """Datagrams that cross the boundary after a stop neither step the
+    model nor reach the comparator or its latest-output map."""
+    kernel = Kernel()
+    tv = TVSet(kernel=kernel, seed=5, suo_id="tv-0")
+    monitor = make_tv_monitor(tv, name="tv-0.awareness")
+    tv.press("power"); tv.run(3.0)
+    tv.press("vol_up")  # an input and its outputs enter both channels
+    monitor.stop()
+    assert monitor.input_channel.pending() > 0
+    assert monitor.output_channel.pending() > 0
+    latest = monitor.comparator.latest
+    before = (
+        monitor.executor.steps,
+        monitor.comparator.stats.comparisons,
+        dict(latest),
+    )
+    tv.run(5.0)
+    assert monitor.input_channel.pending() == 0
+    assert monitor.output_channel.pending() == 0
+    assert (
+        monitor.executor.steps,
+        monitor.comparator.stats.comparisons,
+        dict(latest),
+    ) == before
+
+
 def test_stop_start_without_intervening_stop_is_a_plain_start():
     kernel = Kernel()
     tv = TVSet(kernel=kernel, seed=5, suo_id="tv-0")

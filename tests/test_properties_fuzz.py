@@ -9,7 +9,7 @@ model-to-model validation of Sect. 5 driven by generated inputs.
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.awareness import MessageChannel, make_tv_monitor
-from repro.core import ErrorReport, LadderStep, RecoveryPolicy
+from repro.core import ErrorReport, LadderStep, Observation, RecoveryPolicy
 from repro.sim import Kernel, RandomStreams
 from repro.tv import (
     TVSet,
@@ -82,9 +82,14 @@ def test_channel_preserves_fifo_under_any_jitter(send_times, delay, jitter):
         kernel, "c", delay=delay, jitter=jitter, streams=RandomStreams(1)
     )
     received = []
-    channel.connect(lambda message: received.append(message.payload))
+    channel.connect(lambda datagram: received.append(datagram.value))
     for index, at in enumerate(sorted(send_times)):
-        kernel.schedule_at(at, lambda index=index: channel.send("k", index))
+        kernel.schedule_at(
+            at,
+            lambda index=index: channel.send(
+                Observation(kernel.now, "suo", "k", index)
+            ),
+        )
     kernel.run()
     assert received == sorted(received)
     assert len(received) == len(send_times)

@@ -14,6 +14,8 @@ import pytest
 
 from repro.campaign import (
     Campaign,
+    DistributedBackend,
+    InlineExecutor,
     format_campaign_table,
     run_cell,
     run_cell_detailed,
@@ -173,7 +175,8 @@ def test_register_scenario_rejects_duplicates():
         register_scenario(get_scenario("zapping-storm"))
 
 
-#: Digests of every library scenario at scaled(0.5), seed 11; rewrite
+#: Digests of every library scenario at scaled(0.5), seed 11 (serial,
+#: plus the per-shard trace digests of a 2-shard inline run); rewrite
 #: with ``python tools/rebaseline.py`` when a change moves them on purpose.
 GOLDEN_DIGESTS = json.loads(
     (Path(__file__).parent / "golden_digests.json").read_text()
@@ -196,10 +199,16 @@ def test_every_library_scenario_runs_and_is_deterministic(name):
     assert first_bytes == second_bytes
     assert first.members > 0
     assert first.dispatched > 0
+    sharded = run_cell(
+        spec, seed=11, backend=DistributedBackend(InlineExecutor(), shards=2)
+    )
+    assert sharded.telemetry_digest == cell.report.telemetry_digest
+    assert sharded.span_digest == cell.report.span_digest
     measured = {
         "trace_digest": first.trace_digest,
         "telemetry_digest": cell.report.telemetry_digest,
         "span_digest": cell.report.span_digest,
+        "shard_trace_digests": sharded.shard_trace_digests,
     }
     assert name in GOLDEN_DIGESTS, (
         f"{name}: no pinned digests (tools/rebaseline.py adds them)"

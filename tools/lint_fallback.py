@@ -25,7 +25,8 @@ violations the lane would, with zero dependencies:
         subtleties cannot produce false positives)
 
 Usage: ``python tools/lint_fallback.py [paths...]`` (default: src,
-tests, benchmarks).  Exits nonzero on any finding.  ``# noqa`` on the
+tests, benchmarks, tools, examples, bench — every tree CI's
+``ruff check .`` covers).  Exits nonzero on any finding.  ``# noqa`` on the
 offending line suppresses it, same as ruff.
 """
 
@@ -37,7 +38,7 @@ import sys
 from pathlib import Path
 from typing import Iterator, List, Set, Tuple
 
-DEFAULT_PATHS = ("src", "tests", "benchmarks", "tools")
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "tools", "examples", "bench")
 
 Finding = Tuple[str, int, str, str]  # path, line, code, message
 
