@@ -16,7 +16,7 @@ import time as wallclock
 from dataclasses import replace
 
 
-from repro.awareness import make_tv_monitor
+from repro.products import TV, make_monitor
 from repro.campaign import run_cell
 from repro.core import TraderTV
 from repro.scenarios import get_scenario
@@ -49,7 +49,7 @@ def run_bare():
 def run_monitored():
     start = wallclock.perf_counter()
     tv = TVSet(seed=55)
-    make_tv_monitor(tv)
+    make_monitor(TV, tv)
     events = drive(tv)
     return wallclock.perf_counter() - start, events
 
@@ -168,7 +168,7 @@ def test_e13_comparison_rate(benchmark):
 
     def measure():
         tv = TVSet(seed=55)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         start = wallclock.perf_counter()
         drive(tv)
         elapsed = wallclock.perf_counter() - start

@@ -11,7 +11,7 @@ on a faulty run — the paper's trade-off frontier.
 """
 
 
-from repro.awareness import default_tv_config, make_tv_monitor
+from repro.products import TV, make_monitor
 from repro.tv import FaultInjector, TVSet
 
 from conftest import print_table, qscale, run_once
@@ -22,13 +22,21 @@ WORKLOAD = [
 ]
 
 
+def tuned_config(max_consecutive, period):
+    """The TV's observables with one tolerance and sampling period."""
+    config = TV.config()
+    for spec in config.observables.values():
+        spec.max_consecutive, spec.period = max_consecutive, period
+    return config
+
+
 def run_point(max_consecutive, delay=0.3, jitter=0.25, period=0.25):
-    config = default_tv_config(max_consecutive=max_consecutive, period=period)
+    config = tuned_config(max_consecutive, period)
 
     # (a) fault-free run: every reported error is a false error
     tv = TVSet(seed=41)
-    monitor = make_tv_monitor(
-        tv, config=config, channel_delay=delay, channel_jitter=jitter
+    monitor = make_monitor(
+        TV, tv, config=config, channel_delay=delay, channel_jitter=jitter
     )
     for key in WORKLOAD:
         tv.press(key)
@@ -37,10 +45,10 @@ def run_point(max_consecutive, delay=0.3, jitter=0.25, period=0.25):
     false_errors = len(monitor.errors)
 
     # (b) faulty run: detection latency for a mute fault
-    config_b = default_tv_config(max_consecutive=max_consecutive, period=period)
+    config_b = tuned_config(max_consecutive, period)
     tv_f = TVSet(seed=41)
-    monitor_f = make_tv_monitor(
-        tv_f, config=config_b, channel_delay=delay, channel_jitter=jitter
+    monitor_f = make_monitor(
+        TV, tv_f, config=config_b, channel_delay=delay, channel_jitter=jitter
     )
     FaultInjector(tv_f).inject("mute_noop")
     tv_f.press("power")
@@ -94,7 +102,7 @@ def test_e2_event_vs_time_comparison(benchmark):
         config.observable("screen", max_consecutive=3, trigger=trigger, period=0.5)
         config.observable("sound", max_consecutive=3, trigger=trigger, period=0.5)
         tv = TVSet(seed=42)
-        monitor = make_tv_monitor(tv, config=config)
+        monitor = make_monitor(TV, tv, config=config)
         FaultInjector(tv).inject("mute_noop")
         tv.press("power")
         tv.run(4.0)

@@ -12,9 +12,9 @@ monitoring baseline — plus the false-alarm behaviour on a healthy run.
 
 from repro.awareness import (
     ModeConsistencyChecker,
-    make_tv_monitor,
     ttx_sync_rule,
 )
+from repro.products import TV, make_monitor
 from repro.tv import FaultInjector, TVSet
 
 from conftest import print_table, qscale, run_once
@@ -24,7 +24,7 @@ SCENARIO = ["power", "ttx", "ttx", "ch_up", "ttx"]
 
 def build_tv(faulty):
     tv = TVSet(seed=51)
-    monitor = make_tv_monitor(tv)
+    monitor = make_monitor(TV, tv)
     checker = ModeConsistencyChecker(
         tv.kernel,
         lambda: {

@@ -14,10 +14,10 @@ hierarchical per-aspect monitors.
 
 from repro.awareness import (
     ModeConsistencyChecker,
-    make_tv_monitor,
     ttx_sync_rule,
 )
 from repro.core import AwarenessLoop, LadderStep, MonitorHierarchy, RecoveryPolicy
+from repro.products import TV, make_monitor
 from repro.recovery import RecoveryManager
 from repro.tv import FaultInjector, TVSet
 
@@ -46,7 +46,7 @@ def build_loop(tv, monitor, checker, injector):
 
 def run_closed_loop():
     tv = TVSet(seed=21)
-    monitor = make_tv_monitor(tv)
+    monitor = make_monitor(TV, tv)
     checker = ModeConsistencyChecker(
         tv.kernel,
         lambda: {

@@ -8,7 +8,7 @@ halves throughput).
 Run:  python examples/media_player_awareness.py
 """
 
-from repro.awareness import make_player_monitor
+from repro.products import PLAYER, make_monitor
 from repro.sim import Kernel
 from repro.tv import MediaPlayer, MediaSource
 
@@ -18,7 +18,7 @@ def correctness_demo() -> None:
     kernel = Kernel()
     player = MediaPlayer(kernel, MediaSource(packet_count=200, corrupt_indices=[30]))
     player.stall_on_corrupt = True  # the injected fault
-    monitor = make_player_monitor(player)
+    monitor = make_monitor(PLAYER, player)
 
     kernel.run(until=1.0)
     player.command("play")

@@ -14,13 +14,14 @@ example runs the same monitor recipe on a simulated printer:
 Run:  python examples/printer_awareness.py
 """
 
-from repro.printer import Printer, make_printer_monitor
+from repro.printer import Printer
+from repro.products import PRINTER, make_monitor
 
 
 def healthy_demo() -> None:
     print("== healthy job ==")
     printer = Printer()
-    monitor = make_printer_monitor(printer)
+    monitor = make_monitor(PRINTER, printer)
     printer.submit(pages=5, staple=True)
     printer.kernel.run(until=40.0)
     print(f"  {len(printer.pages)} pages, mean quality "
@@ -31,7 +32,7 @@ def healthy_demo() -> None:
 def silent_jam_demo() -> None:
     print("\n== silent paper jam, closed loop ==")
     printer = Printer()
-    monitor = make_printer_monitor(printer)
+    monitor = make_monitor(PRINTER, printer)
 
     def repair(report) -> None:
         if report.observable != "progressing":
@@ -56,7 +57,7 @@ def silent_jam_demo() -> None:
 def cold_fuser_demo() -> None:
     print("\n== degraded fuser heater ==")
     printer = Printer()
-    monitor = make_printer_monitor(printer)
+    monitor = make_monitor(PRINTER, printer)
     printer.inject_cold_fuser(0.15)
     printer.submit(pages=6)
     printer.kernel.run(until=40.0)

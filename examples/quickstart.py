@@ -11,7 +11,7 @@ This is the smallest end-to-end use of the library:
 Run:  python examples/quickstart.py
 """
 
-from repro.awareness import make_tv_monitor
+from repro.products import TV, make_monitor
 from repro.tv import FaultInjector, TVSet
 
 
@@ -20,7 +20,7 @@ def main() -> None:
     tv = TVSet(seed=1)
 
     # 2. the awareness monitor ---------------------------------------
-    monitor = make_tv_monitor(tv)
+    monitor = make_monitor(TV, tv)
 
     # 3. normal use: zap around, no errors reported -------------------
     for key in ["power", "ch_up", "vol_up", "ttx", "ttx", "menu", "back"]:

@@ -14,7 +14,8 @@ This example wires the *complete* Fig. 1 loop:
 Run:  python examples/teletext_closed_loop.py
 """
 
-from repro.awareness import ModeConsistencyChecker, make_tv_monitor, ttx_sync_rule
+from repro.awareness import ModeConsistencyChecker, ttx_sync_rule
+from repro.products import TV, make_monitor
 from repro.core import AwarenessLoop, LadderStep, RecoveryPolicy
 from repro.diagnosis import (
     TELETEXT_SCENARIO_27,
@@ -29,7 +30,7 @@ from repro.tv import FaultInjector, TVSet
 def closed_loop_demo() -> None:
     print("== closed-loop recovery ==")
     tv = TVSet(seed=21)
-    monitor = make_tv_monitor(tv)
+    monitor = make_monitor(TV, tv)
     checker = ModeConsistencyChecker(
         tv.kernel,
         lambda: {

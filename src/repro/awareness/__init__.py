@@ -11,15 +11,7 @@ from .modes import (
     modes_equal_rule,
     ttx_sync_rule,
 )
-from .monitor import (
-    AwarenessMonitor,
-    default_player_config,
-    default_tv_config,
-    make_player_monitor,
-    make_tv_monitor,
-    resync_player_monitor,
-    resync_tv_monitor,
-)
+from .monitor import AwarenessMonitor
 
 __all__ = [
     "AwarenessConfig",
@@ -34,13 +26,7 @@ __all__ = [
     "ModelExecutor",
     "ObservableSpec",
     "TIME_BASED",
-    "default_player_config",
-    "default_tv_config",
     "deviation_magnitude",
-    "make_player_monitor",
-    "make_tv_monitor",
-    "resync_player_monitor",
-    "resync_tv_monitor",
     "modes_equal_rule",
     "ttx_sync_rule",
 ]

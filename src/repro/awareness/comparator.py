@@ -99,7 +99,6 @@ class Comparator:
         self.on_error = on_error
         self.name = name
         self.stats = ComparatorStats()
-        self.reports: List[ErrorReport] = []
         #: The Output Observer role of Fig. 2: the most recent observation
         #: of every SUO observable.
         self.latest: Dict[str, Observation] = {}
@@ -212,7 +211,6 @@ class Comparator:
             severity=spec.severity,
             context={"first_deviation_at": streak.started_at},
         )
-        self.reports.append(report)
         self.stats.errors_reported += 1
         self.on_error(report)
 

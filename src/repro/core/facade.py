@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 from ..awareness.config import AwarenessConfig
 from ..awareness.modes import ModeConsistencyChecker, ttx_sync_rule
-from ..awareness.monitor import AwarenessMonitor, make_tv_monitor
+from ..awareness.monitor import AwarenessMonitor
+from ..products import TV, make_monitor
 from ..recovery.recoverymgr import RecoveryManager
 from ..tv.faults import FaultInjector
 from ..tv.tvset import TVSet
@@ -47,7 +48,7 @@ class TraderTV:
         self.injector = FaultInjector(self.tv)
 
         # observation + error detection --------------------------------
-        self.monitor: AwarenessMonitor = make_tv_monitor(self.tv, config=config)
+        self.monitor: AwarenessMonitor = make_monitor(TV, self.tv, config=config)
         self.mode_checker = ModeConsistencyChecker(
             self.kernel,
             lambda: {

@@ -1,10 +1,6 @@
 """Spectrum-based diagnosis (Sect. 4.4)."""
 
-from .components import (
-    COMPONENTS,
-    ComponentSpectra,
-    RankedComponent,
-)
+from .components import ComponentSpectra, RankedComponent
 from .evaluate import RankingQuality, evaluate_ranking, random_baseline_effort
 from .instrument import (
     TELETEXT_SCENARIO_27,
@@ -20,7 +16,6 @@ from .spectra import SpectraCollector, SpectraCounts
 __all__ = [
     "BlockInstrumenter",
     "COEFFICIENTS",
-    "COMPONENTS",
     "ComponentSpectra",
     "OnlineDiagnoser",
     "RankedBlock",

@@ -41,113 +41,7 @@ from ..runtime.bus import EventBus, Subscription
 from .similarity import Coefficient, get_coefficient
 from .spectra import SpectraCounts
 
-#: The component vocabulary per SUO kind — the units a targeted rebind
-#: can replace (TV Koala components, player pipeline stages, printer
-#: paper-path modules).  Every ground-truth ``component`` of
-#: :data:`repro.faults.FAULTS` is one of these.
-COMPONENTS: Dict[str, Tuple[str, ...]] = {
-    "tv": ("audio", "dualscreen", "osd", "teletext", "tuner", "video"),
-    "player": ("control", "decoder", "demux", "renderer"),
-    "printer": ("controller", "engine", "feeder", "finisher"),
-}
-
-# ----------------------------------------------------------------------
-# event -> component classification
-# ----------------------------------------------------------------------
-_TV_KEY_COMPONENTS = {
-    "vol_up": "audio", "vol_down": "audio", "mute": "audio",
-    "ch_up": "tuner", "ch_down": "tuner",
-    "ttx": "teletext",
-    "menu": "osd", "epg": "osd", "back": "osd", "ok": "osd",
-    "sleep": "osd", "lock": "osd",
-    "dual": "dualscreen", "swap": "dualscreen",
-    "power": "video",
-}
-
-_TV_OUTPUT_COMPONENTS = {"sound": ("audio",), "screen": ("video",)}
-
-#: Observable -> responsible component(s), only where unambiguous.
-_TV_ERROR_COMPONENTS = {"sound": ("audio",)}
-
-_PLAYER_OUTPUT_COMPONENTS = {
-    "state": ("control",),
-    "buffer": ("demux",),
-    "frame": ("decoder", "renderer"),
-    "position": ("renderer",),
-}
-
-_PLAYER_ERROR_COMPONENTS = {
-    "progressing": ("decoder",),
-    "pace": ("decoder",),
-    "buffer": ("demux",),
-    "state": ("control",),
-}
-
-_PRINTER_OUTPUT_COMPONENTS = {
-    "status": ("controller",),
-    "queue": ("controller",),
-    "job_done": ("controller",),
-    "pages_done": ("feeder", "engine"),
-    "page_quality": ("engine",),
-}
-
-_PRINTER_ERROR_COMPONENTS = {
-    "progressing": ("feeder",),
-    "page_rate": ("feeder",),
-    "page_quality": ("engine",),
-    "queue": ("controller",),
-}
-
 _EMPTY: Tuple[str, ...] = ()
-
-
-def classify_tv_event(kind: str, event: Any) -> Tuple[str, ...]:
-    """Components a TV bus event proves active."""
-    if kind == "input":
-        key = getattr(event, "key", None)
-        if not isinstance(key, str):
-            return _EMPTY
-        if key.startswith("digit"):
-            return ("tuner",)
-        component = _TV_KEY_COMPONENTS.get(key)
-        return (component,) if component else _EMPTY
-    if kind == "stimulus":
-        return ("osd",)
-    if kind == "output":
-        name = getattr(event, "name", None)
-        return _TV_OUTPUT_COMPONENTS.get(name, _EMPTY)
-    return _EMPTY
-
-
-def classify_player_event(kind: str, event: Any) -> Tuple[str, ...]:
-    """Components a player bus event proves active."""
-    if kind == "input":
-        return ("control",)
-    if kind == "output" and isinstance(event, tuple) and event:
-        return _PLAYER_OUTPUT_COMPONENTS.get(event[0], _EMPTY)
-    return _EMPTY
-
-
-def classify_printer_event(kind: str, event: Any) -> Tuple[str, ...]:
-    """Components a printer bus event proves active."""
-    if kind == "input":
-        return ("controller",)
-    if kind == "output" and isinstance(event, tuple) and event:
-        return _PRINTER_OUTPUT_COMPONENTS.get(event[0], _EMPTY)
-    return _EMPTY
-
-
-CLASSIFIERS: Dict[str, Callable[[str, Any], Tuple[str, ...]]] = {
-    "tv": classify_tv_event,
-    "player": classify_player_event,
-    "printer": classify_printer_event,
-}
-
-ERROR_COMPONENTS: Dict[str, Dict[str, Tuple[str, ...]]] = {
-    "tv": _TV_ERROR_COMPONENTS,
-    "player": _PLAYER_ERROR_COMPONENTS,
-    "printer": _PRINTER_ERROR_COMPONENTS,
-}
 
 
 @dataclass(frozen=True)
@@ -169,33 +63,36 @@ class ComponentSpectra:
     """Online per-component spectra for one fleet member.
 
     Subscribes to the member's whole ``suo.<id>.*`` namespace and folds
-    every event into the open *window* (a fixed slice of simulated
-    time).  A window is erroneous when a monitor error report landed in
-    it.  Contingency counters update incrementally at window close, so
-    state never grows with campaign length.
+    every event, classified by the kind's :class:`~repro.products.Product`,
+    into the open *window* (a fixed slice of simulated time).  A window is
+    erroneous when a monitor error report landed in it.  Contingency
+    counters update incrementally at window close, so state never grows
+    with campaign length.
     """
 
     def __init__(
         self,
-        kind: str,
+        product: Any,
         suo_id: str,
         bus: EventBus,
         clock: Callable[[], float],
         window: float = 1.0,
         coefficient: str = "ochiai",
     ) -> None:
-        if kind not in COMPONENTS:
-            raise ValueError(f"no component vocabulary for SUO kind {kind!r}")
+        if not product.components:
+            raise ValueError(f"no component vocabulary for SUO kind {product.kind!r}")
         if window <= 0:
             raise ValueError("window must be positive")
-        self.kind = kind
+        self.kind = product.kind
         self.suo_id = suo_id
-        self.components = COMPONENTS[kind]
+        self.components = product.components
         self.window = window
         self.coefficient_name = coefficient
         self.coefficient: Coefficient = get_coefficient(coefficient)
-        self._classify = CLASSIFIERS[kind]
-        self._error_map = ERROR_COMPONENTS[kind]
+        self._classify = product.classify
+        self._error_map = {
+            o.spec.name: o.errors for o in product.observables if o.errors
+        }
         self._clock = clock
         self._prefix_len = len(f"suo.{suo_id}.")
         # closed-window state (incrementally folded)

@@ -3,13 +3,10 @@
 from .engine import Feeder, Finisher, PrintEngine, PrintedPage, Printer, PrintJob
 from .model import (
     build_printer_model,
-    default_printer_config,
     expected_page_rate,
     expected_progressing,
     expected_queue_depth,
     expected_status,
-    make_printer_monitor,
-    resync_printer_monitor,
 )
 
 __all__ = [
@@ -20,11 +17,8 @@ __all__ = [
     "PrintedPage",
     "Printer",
     "build_printer_model",
-    "default_printer_config",
     "expected_page_rate",
     "expected_progressing",
     "expected_queue_depth",
     "expected_status",
-    "make_printer_monitor",
-    "resync_printer_monitor",
 ]

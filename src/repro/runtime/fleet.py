@@ -29,18 +29,11 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
-from ..awareness.monitor import (
-    AwarenessMonitor,
-    make_player_monitor,
-    make_tv_monitor,
-)
-from ..printer.engine import Printer
-from ..printer.model import make_printer_monitor
+from ..awareness.monitor import AwarenessMonitor
+from ..products import Product, make_monitor
 from ..sim.kernel import Kernel
 from ..sim.random import RandomStreams
-from ..tv.mediaplayer import MediaPlayer, MediaSource
 from ..tv.remote import RandomUser
-from ..tv.tvset import TVSet
 from .telemetry import FleetTelemetry, SuoTally
 
 
@@ -55,7 +48,10 @@ class FleetMember:
     """One SUO plus its monitor, identity, and campaign bookkeeping."""
 
     suo_id: str
+    #: ``product.kind``, kept as a field: kind filters read it per member.
     kind: str
+    #: The kind's descriptor (:mod:`repro.products`).
+    product: Product
     suo: Any
     monitor: Optional[AwarenessMonitor]
     seed: int
@@ -132,79 +128,26 @@ class MonitorFleet:
     # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
-    def add_tv(
+    def add(
         self,
+        product: Product,
         suo_id: Optional[str] = None,
         monitor: bool = True,
-        config: Any = None,
-        channel_delay: float = 0.05,
-        channel_jitter: float = 0.02,
+        **suo_args: Any,
     ) -> FleetMember:
-        """Add one TV (and, by default, its awareness monitor)."""
-        suo_id = suo_id or f"tv-{len(self.members)}"
+        """Add one SUO of ``product``'s kind (built with ``suo_args``)
+        and, by default, its awareness monitor."""
+        suo_id = suo_id or f"{product.kind}-{len(self.members)}"
         member_seed = derive_member_seed(self.seed, suo_id)
-        tv = TVSet(kernel=self.kernel, seed=member_seed, suo_id=suo_id)
-        mon = None
-        if monitor:
-            mon = make_tv_monitor(
-                tv,
-                config=config,
-                channel_delay=channel_delay,
-                channel_jitter=channel_jitter,
-                name=f"{suo_id}.awareness",
-            )
-        return self._admit(FleetMember(suo_id, "tv", tv, mon, member_seed))
-
-    def add_tvs(self, count: int, **kwargs: Any) -> List[FleetMember]:
-        return [self.add_tv(**kwargs) for _ in range(count)]
-
-    def add_player(
-        self,
-        suo_id: Optional[str] = None,
-        monitor: bool = True,
-        packet_count: int = 500,
-        corrupt_indices: Optional[List[int]] = None,
-    ) -> FleetMember:
-        """Add one media player SUO."""
-        suo_id = suo_id or f"player-{len(self.members)}"
-        member_seed = derive_member_seed(self.seed, suo_id)
-        source = MediaSource(
-            packet_count=packet_count, corrupt_indices=corrupt_indices
+        suo = product.build(
+            kernel=self.kernel, suo_id=suo_id, seed=member_seed, **suo_args
         )
-        player = MediaPlayer(self.kernel, source, suo_id=suo_id)
         mon = None
         if monitor:
-            mon = make_player_monitor(player, name=f"{suo_id}.awareness")
-        return self._admit(FleetMember(suo_id, "player", player, mon, member_seed))
-
-    def add_printer(
-        self,
-        suo_id: Optional[str] = None,
-        monitor: bool = True,
-        config: Any = None,
-        channel_delay: float = 0.05,
-        channel_jitter: float = 0.02,
-    ) -> FleetMember:
-        """Add one printer SUO (and, by default, its awareness monitor).
-
-        Until PR 4 printers joined fleets unmonitored, which pinned the
-        printer scenarios' detection rates at a structural zero; the
-        queue-depth and page-rate observables now give the monitor
-        something a silent jam actually moves.
-        """
-        suo_id = suo_id or f"printer-{len(self.members)}"
-        member_seed = derive_member_seed(self.seed, suo_id)
-        printer = Printer(kernel=self.kernel, suo_id=suo_id)
-        mon = None
-        if monitor:
-            mon = make_printer_monitor(
-                printer,
-                config=config,
-                channel_delay=channel_delay,
-                channel_jitter=channel_jitter,
-                name=f"{suo_id}.awareness",
-            )
-        return self._admit(FleetMember(suo_id, "printer", printer, mon, member_seed))
+            mon = make_monitor(product, suo, name=f"{suo_id}.awareness")
+        return self._admit(
+            FleetMember(suo_id, product.kind, product, suo, mon, member_seed)
+        )
 
     def _admit(self, member: FleetMember) -> FleetMember:
         if member.suo_id in self.members:

@@ -26,6 +26,7 @@ import time as wallclock
 from typing import Callable, Dict, List, Optional
 
 from ..faults import FAULTS, Fault
+from ..products import PRODUCTS
 from ..runtime.fleet import FleetMember, FleetReport, MonitorFleet, build_fleet_report
 from ..sim.random import RandomStreams
 from ..tv.remote import KeySequence
@@ -87,19 +88,17 @@ class CompiledScenario:
                 if plan.is_shard else None
             ),
         )
-        corrupt = list(spec.corrupt_player_packets)
+        # The spec's per-kind SUO settings (one corrupt list, shared).
+        suo_args: Dict[str, Dict] = {"player": {
+            "packet_count": spec.player_packets,
+            "corrupt_indices": list(spec.corrupt_player_packets),
+        }}
         self._planned: Dict[str, "PlannedMember"] = {}
         for planned in plan.members:
-            if planned.kind == "tv":
-                self.fleet.add_tv(suo_id=planned.suo_id)
-            elif planned.kind == "player":
-                self.fleet.add_player(
-                    suo_id=planned.suo_id,
-                    packet_count=spec.player_packets,
-                    corrupt_indices=corrupt,
-                )
-            else:
-                self.fleet.add_printer(suo_id=planned.suo_id)
+            self.fleet.add(
+                PRODUCTS[planned.kind], suo_id=planned.suo_id,
+                **suo_args.get(planned.kind, {}),
+            )
             self._planned[planned.suo_id] = planned
         #: Causal span recorder (opt-in via ``spec.record_spans``).
         #: Seeded to the campaign seed so its reservoir sample is as

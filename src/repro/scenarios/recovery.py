@@ -58,8 +58,8 @@ from typing import Callable, List, Optional, Tuple
 from ..core.contract import RecoveryAction
 from ..core.loop import AwarenessLoop
 from ..core.policy import LadderStep, RecoveryPolicy, perception_weighted_ladder
-from ..diagnosis.components import COMPONENTS, ComponentSpectra
-from ..perception.severity import FunctionProfile, SeverityModel
+from ..diagnosis.components import ComponentSpectra
+from ..perception.severity import SeverityModel
 from ..recovery.recoverymgr import RecoveryManager
 from ..runtime.bus import EventBus
 from ..runtime.fleet import FleetMember
@@ -82,27 +82,6 @@ DOWNTIME = {
 
 #: Relative user impact per rung (scales the policy's ordering).
 USER_IMPACT = {"local_reset": 0.2, "component_restart": 1.0, "rebind": 2.5}
-
-#: How users perceive a failure of the function each SUO kind serves
-#: (Sect. 4.6 DTI factors).  :func:`perception_weighted_ladder` scales
-#: the rung impacts by the population-level severity weight, so a
-#: recovery that disrupts a function users notice and blame the product
-#: for (live TV viewing) is costed higher than one users often
-#: attribute externally (playback hiccups).
-KIND_FUNCTIONS = {
-    "tv": FunctionProfile(
-        "viewing", stated_importance=0.9, usage=1.0,
-        failure_visibility=0.9, external_attribution_prior=0.2,
-    ),
-    "player": FunctionProfile(
-        "playback", stated_importance=0.8, usage=0.8,
-        failure_visibility=0.8, external_attribution_prior=0.5,
-    ),
-    "printer": FunctionProfile(
-        "printing", stated_importance=0.7, usage=0.6,
-        failure_visibility=0.9, external_attribution_prior=0.3,
-    ),
-}
 
 
 @dataclass
@@ -145,33 +124,28 @@ class MemberRecovery:
         #: subscribed these publishes hit an empty compiled table —
         #: effectively free, honoring the overhead budget.
         self._span = bus.publisher(f"obs.{member.suo_id}.span")
-        #: Online SFL evidence, collected from harness creation onward
-        #: ("while the member is under suspicion").  Kinds without a
-        #: component vocabulary would get no ranking; every fleet kind
-        #: has one, but stay defensive for hand-built members.
-        self.spectra: Optional[ComponentSpectra] = (
-            ComponentSpectra(
-                member.kind,
-                member.suo_id,
-                bus,
-                clock=lambda: kernel.now,
-                window=spectra_window,
-            )
-            if member.kind in COMPONENTS
-            else None
+        #: Online SFL evidence over the product's component vocabulary,
+        #: collected from harness creation onward ("while the member is
+        #: under suspicion").
+        self.spectra = ComponentSpectra(
+            member.product,
+            member.suo_id,
+            bus,
+            clock=lambda: kernel.now,
+            window=spectra_window,
         )
         self.confidence_threshold = confidence_threshold
         self.policy = RecoveryPolicy(quiet_period=quiet_period)
+        # Sect. 4.6: disrupting a function users notice and blame the
+        # product for (live TV) costs more than one they often attribute
+        # externally (playback hiccups).
         steps = [
             LadderStep(kind, member.suo_id, USER_IMPACT[kind])
             for kind in LADDER_KINDS
         ]
-        function = KIND_FUNCTIONS.get(member.kind)
-        if function is not None:
-            steps = list(
-                perception_weighted_ladder(steps, function, SeverityModel())
-            )
-        self.policy.add_ladder("*", steps)
+        self.policy.add_ladder("*", list(perception_weighted_ladder(
+            steps, member.product.function, SeverityModel()
+        )))
         self.manager = RecoveryManager(kernel)
         self.manager.register_handler("local_reset", self._local_reset)
         self.manager.register_handler("component_restart", self._component_restart)
@@ -283,20 +257,19 @@ class MemberRecovery:
         suspect: Optional[str] = None
         confidence = 0.0
         true_rank: Optional[int] = None
-        if self.spectra is not None:
-            ranking = self.spectra.ranking()
-            if ranking:
-                suspect = ranking[0].component
-                confidence = self.spectra.confidence(ranking)
-            if episode is not None and episode.component is not None:
-                true_rank = next(
-                    (
-                        entry.rank
-                        for entry in ranking
-                        if entry.component == episode.component
-                    ),
-                    None,
-                )
+        ranking = self.spectra.ranking()
+        if ranking:
+            suspect = ranking[0].component
+            confidence = self.spectra.confidence(ranking)
+        if episode is not None and episode.component is not None:
+            true_rank = next(
+                (
+                    entry.rank
+                    for entry in ranking
+                    if entry.component == episode.component
+                ),
+                None,
+            )
         targeted = (
             episode is not None
             # No ground-truth component (an episode armed without one;
@@ -328,11 +301,10 @@ class MemberRecovery:
                 closed = self._episodes.pop(0)
                 closed.repair()
         episode_wave = episode.wave if episode is not None else None
-        if self.spectra is not None:
-            self._span(
-                {"ev": "sfl-rank", "wave": episode_wave, "suspect": suspect,
-                 "confidence": round(confidence, 6), "true_rank": true_rank}
-            )
+        self._span(
+            {"ev": "sfl-rank", "wave": episode_wave, "suspect": suspect,
+             "confidence": round(confidence, 6), "true_rank": true_rank}
+        )
         self._span(
             {"ev": "rung", "action": "rebind", "mode": mode,
              "wave": episode_wave, "downtime": downtime, "hit": hit}

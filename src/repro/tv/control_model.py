@@ -29,7 +29,9 @@ VOLUME_STEP = 5
 VOLUME_BAR_TIMEOUT = 2.0
 INFO_BANNER_TIMEOUT = 2.0
 TTX_ACQUIRE_TIME = 1.6
-SLEEP_STEPS = [0, 15, 30, 60, 90, 0]
+#: Sleep-timer cycle order when the user repeatedly presses SLEEP (the
+#: :class:`~repro.tv.features.Features` component cycles the same steps).
+SLEEP_STEPS = (0, 15, 30, 60, 90, 0)
 
 #: States from which a channel change is accepted (menu blocks, alert keeps
 #: its overlay but still changes channel — mirroring the implementation).

@@ -13,10 +13,8 @@ from typing import Callable, List, Set
 
 from ..koala.component import Component
 from ..sim.kernel import Kernel
+from .control_model import SLEEP_STEPS
 from .interfaces import IFeatures
-
-#: Sleep-timer cycle order when the user repeatedly presses SLEEP.
-SLEEP_STEPS = [0, 15, 30, 60, 90, 0]
 
 
 class Features(Component):

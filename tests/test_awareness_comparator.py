@@ -39,7 +39,9 @@ class TestDeviationMagnitude:
 
 
 def make_stack(threshold=0.0, max_consecutive=2, trigger="event"):
-    """A minimal executor/comparator harness around one variable."""
+    """A minimal executor/comparator harness around one variable; the
+    last element collects the reports the comparator hands to
+    ``on_error``."""
     kernel = Kernel()
     b = MachineBuilder("spec")
     b.state("s")
@@ -60,9 +62,10 @@ def make_stack(threshold=0.0, max_consecutive=2, trigger="event"):
         providers={"value": lambda m: m.get("value")},
         config=config,
     )
-    comparator = Comparator(kernel, config, executor, on_error=lambda report: None)
+    reports = []
+    comparator = Comparator(kernel, config, executor, on_error=reports.append)
     comparator.start()
-    return kernel, machine, executor, comparator
+    return kernel, machine, executor, comparator, reports
 
 
 def observe(comparator, kernel, name, value, advance=0.0):
@@ -75,92 +78,92 @@ def observe(comparator, kernel, name, value, advance=0.0):
 
 class TestComparatorEventBased:
     def test_agreement_no_error(self):
-        kernel, machine, executor, comparator = make_stack()
+        kernel, machine, executor, comparator, reports = make_stack()
         machine.set("value", 5)
         observe(comparator, kernel, "value", 5)
-        assert comparator.reports == []
+        assert reports == []
         assert comparator.stats.comparisons == 1
 
     def test_error_after_consecutive_limit(self):
-        kernel, machine, executor, comparator = make_stack(max_consecutive=2)
+        kernel, machine, executor, comparator, reports = make_stack(max_consecutive=2)
         machine.set("value", 5)
         observe(comparator, kernel, "value", 9)  # deviation 1
         observe(comparator, kernel, "value", 9, advance=1.0)  # deviation 2 (= limit)
-        assert comparator.reports == []
+        assert reports == []
         observe(comparator, kernel, "value", 9, advance=1.0)  # deviation 3 > limit
-        assert len(comparator.reports) == 1
-        report = comparator.reports[0]
+        assert len(reports) == 1
+        report = reports[0]
         assert report.expected == 5 and report.actual == 9
         assert report.consecutive == 3
 
     def test_transient_suppressed_by_recovery_sample(self):
-        kernel, machine, executor, comparator = make_stack(max_consecutive=2)
+        kernel, machine, executor, comparator, reports = make_stack(max_consecutive=2)
         machine.set("value", 5)
         observe(comparator, kernel, "value", 9)
         observe(comparator, kernel, "value", 5)  # back in agreement
         observe(comparator, kernel, "value", 9)
         observe(comparator, kernel, "value", 5)
-        assert comparator.reports == []
+        assert reports == []
         assert comparator.stats.suppressed_transients == 2
 
     def test_threshold_tolerates_small_deviation(self):
-        kernel, machine, executor, comparator = make_stack(
+        kernel, machine, executor, comparator, reports = make_stack(
             threshold=2.0, max_consecutive=1
         )
         machine.set("value", 5)
         for _ in range(5):
             observe(comparator, kernel, "value", 7, advance=1.0)  # |7-5| <= threshold
-        assert comparator.reports == []
+        assert reports == []
         for _ in range(3):
             observe(comparator, kernel, "value", 8, advance=1.0)  # 3 > threshold
-        assert len(comparator.reports) == 1
+        assert len(reports) == 1
 
     def test_report_only_once_per_streak(self):
-        kernel, machine, executor, comparator = make_stack(max_consecutive=1)
+        kernel, machine, executor, comparator, reports = make_stack(max_consecutive=1)
         machine.set("value", 5)
         for _ in range(10):
             observe(comparator, kernel, "value", 9, advance=1.0)
-        assert len(comparator.reports) == 1
+        assert len(reports) == 1
 
     def test_reset_allows_new_report(self):
-        kernel, machine, executor, comparator = make_stack(max_consecutive=1)
+        kernel, machine, executor, comparator, reports = make_stack(max_consecutive=1)
         machine.set("value", 5)
         for _ in range(3):
             observe(comparator, kernel, "value", 9, advance=1.0)
         comparator.reset("value")
         for _ in range(3):
             observe(comparator, kernel, "value", 9, advance=1.0)
-        assert len(comparator.reports) == 2
+        assert len(reports) == 2
 
     def test_nothing_observed_yet_no_compare(self):
-        kernel, machine, executor, comparator = make_stack()
+        kernel, machine, executor, comparator, reports = make_stack()
         assert executor.on_input(Observation(0.0, "suo", "cmd", 5))
         comparator.on_model_step()
         assert comparator.stats.comparisons == 0
 
     def test_first_deviation_time_in_context(self):
-        kernel, machine, executor, comparator = make_stack(max_consecutive=1)
+        kernel, machine, executor, comparator, reports = make_stack(max_consecutive=1)
         machine.set("value", 5)
         observe(comparator, kernel, "value", 9)
         kernel._now = 4.0  # simulate later sample (direct for test brevity)
         observe(comparator, kernel, "value", 9)
-        report = comparator.reports[0]
+        report = reports[0]
         assert report.context["first_deviation_at"] == 0.0
 
 
 class TestComparatorTimeBased:
     def test_timed_sampling_detects_quiet_divergence(self):
-        kernel, machine, executor, comparator = make_stack(
+        kernel, machine, executor, comparator, reports = make_stack(
             trigger="time", max_consecutive=2
         )
         machine.set("value", 5)
         observe(comparator, kernel, "value", 9)  # event trigger disabled
-        assert comparator.reports == []
+        assert reports == []
         kernel.run(until=10.0)  # timed samples every 1.0
-        assert len(comparator.reports) == 1
+        assert len(reports) == 1
 
     def test_stop_halts_sampling(self):
-        kernel, machine, executor, comparator = make_stack(trigger="time")
+        kernel, machine, executor, comparator, reports = make_stack(trigger="time")
         machine.set("value", 5)
         observe(comparator, kernel, "value", 9)
         comparator.stop()
@@ -168,11 +171,11 @@ class TestComparatorTimeBased:
         assert comparator.stats.comparisons == 0
 
     def test_compare_disabled_globally(self):
-        kernel, machine, executor, comparator = make_stack(
+        kernel, machine, executor, comparator, reports = make_stack(
             trigger="time", max_consecutive=1
         )
         comparator.config.enable_compare(False)
         machine.set("value", 5)
         observe(comparator, kernel, "value", 9)
         kernel.run(until=10.0)
-        assert comparator.reports == []
+        assert reports == []

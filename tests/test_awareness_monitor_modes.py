@@ -3,12 +3,10 @@
 
 from repro.awareness import (
     ModeConsistencyChecker,
-    default_tv_config,
-    make_player_monitor,
-    make_tv_monitor,
     modes_equal_rule,
     ttx_sync_rule,
 )
+from repro.products import PLAYER, TV, make_monitor
 from repro.sim import Kernel
 from repro.tv import FaultInjector, MediaPlayer, MediaSource, TVSet
 
@@ -23,7 +21,7 @@ def drive(tv, keys, gap=4.0, settle=6.0):
 class TestTvMonitorEndToEnd:
     def test_no_false_positives_fault_free(self):
         tv = TVSet(seed=31)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         drive(tv, [
             "power", "vol_up", "ch_up", "ttx", "ch_down", "menu", "back",
             "mute", "mute", "dual", "swap", "dual", "epg", "epg", "power",
@@ -33,7 +31,7 @@ class TestTvMonitorEndToEnd:
 
     def test_transients_occur_but_are_suppressed(self):
         tv = TVSet(seed=31)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         drive(tv, ["power", "ttx", "ch_up", "ttx", "menu", "power"])
         assert monitor.errors == []
         # IPC delay + model/system race: deviations happen, then clear.
@@ -41,14 +39,14 @@ class TestTvMonitorEndToEnd:
 
     def test_detects_mute_fault(self):
         tv = TVSet(seed=32)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         FaultInjector(tv).inject("mute_noop")
         drive(tv, ["power", "mute"])
         assert any(e.observable == "sound" for e in monitor.errors)
 
     def test_detects_volume_overshoot(self):
         tv = TVSet(seed=32)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         FaultInjector(tv).inject("volume_overshoot")
         drive(tv, ["power", "vol_up"])
         errors = [e for e in monitor.errors if e.observable == "sound"]
@@ -56,7 +54,7 @@ class TestTvMonitorEndToEnd:
 
     def test_detects_menu_opens_epg(self):
         tv = TVSet(seed=32)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         FaultInjector(tv).inject("menu_opens_epg")
         drive(tv, ["power", "menu"])
         errors = [e for e in monitor.errors if e.observable == "screen"]
@@ -65,7 +63,7 @@ class TestTvMonitorEndToEnd:
 
     def test_detects_stale_teletext(self):
         tv = TVSet(seed=32)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         FaultInjector(tv).inject("ttx_stale_render")
         drive(tv, ["power", "ttx"], settle=10.0)
         errors = [e for e in monitor.errors if e.observable == "screen"]
@@ -75,7 +73,7 @@ class TestTvMonitorEndToEnd:
 
     def test_detection_latency_recorded(self):
         tv = TVSet(seed=32)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         FaultInjector(tv).inject("mute_noop")
         drive(tv, ["power", "mute"])
         report = monitor.errors[0]
@@ -83,7 +81,7 @@ class TestTvMonitorEndToEnd:
 
     def test_monitor_stop_freezes_detection(self):
         tv = TVSet(seed=32)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         monitor.stop()
         FaultInjector(tv).inject("mute_noop")
         drive(tv, ["power", "mute"])
@@ -91,7 +89,7 @@ class TestTvMonitorEndToEnd:
 
     def test_alert_stimulus_observed(self):
         tv = TVSet(seed=33)
-        monitor = make_tv_monitor(tv)
+        monitor = make_monitor(TV, tv)
         drive(tv, ["power"])
         tv.broadcast_alert()
         tv.run(6.0)
@@ -101,8 +99,10 @@ class TestTvMonitorEndToEnd:
         """Zero tolerance (max_consecutive=1, fast sampling) turns IPC
         transients into false errors — the Sect. 4.3 trade-off."""
         tv = TVSet(seed=31)
-        config = default_tv_config(max_consecutive=1, period=0.2)
-        monitor = make_tv_monitor(tv, config=config, channel_delay=0.3, channel_jitter=0.2)
+        config = TV.config()
+        for spec in config.observables.values():
+            spec.max_consecutive, spec.period = 1, 0.2
+        monitor = make_monitor(TV, tv, config=config, channel_delay=0.3, channel_jitter=0.2)
         drive(tv, ["power", "ttx", "ch_up", "ttx", "menu", "back", "power"])
         assert len(monitor.errors) > 0  # false alarms: no fault injected
 
@@ -111,7 +111,7 @@ class TestPlayerMonitor:
     def test_player_monitor_fault_free(self):
         kernel = Kernel()
         player = MediaPlayer(kernel, MediaSource(packet_count=200))
-        monitor = make_player_monitor(player)
+        monitor = make_monitor(PLAYER, player)
         for command, at in [("play", 1.0), ("pause", 8.0), ("play", 12.0)]:
             kernel.run(until=at)
             player.command(command)
@@ -121,7 +121,7 @@ class TestPlayerMonitor:
     def test_player_monitor_detects_command_loss(self):
         kernel = Kernel()
         player = MediaPlayer(kernel, MediaSource(packet_count=200))
-        monitor = make_player_monitor(player)
+        monitor = make_monitor(PLAYER, player)
         kernel.run(until=1.0)
         player.command("play")
         kernel.run(until=5.0)

@@ -11,8 +11,8 @@ state so a churned monitor does not false-alarm.
 
 import pytest
 
-from repro.awareness import make_player_monitor
-from repro.printer import Printer, make_printer_monitor
+from repro.printer import Printer
+from repro.products import PLAYER, PRINTER, make_monitor
 from repro.sim import Kernel
 from repro.tv import MediaPlayer, MediaSource
 
@@ -86,7 +86,7 @@ class TestPlayerObservables:
 class TestPlayerMonitorDepth:
     def test_stall_detected_via_progressing(self):
         kernel, player = make_player(packet_count=200, corrupt_indices=[30])
-        monitor = make_player_monitor(player, name="p0.awareness")
+        monitor = make_monitor(PLAYER, player, name="p0.awareness")
         player.stall_on_corrupt = True
         player.command("play")
         kernel.run(until=40.0)
@@ -96,7 +96,7 @@ class TestPlayerMonitorDepth:
 
     def test_slowdown_detected_via_pace(self):
         kernel, player = make_player(packet_count=300)
-        monitor = make_player_monitor(player, name="p0.awareness")
+        monitor = make_monitor(PLAYER, player, name="p0.awareness")
         player.decode_slowdown = 3.0
         player.command("play")
         kernel.run(until=30.0)
@@ -107,7 +107,7 @@ class TestPlayerMonitorDepth:
         import random
 
         kernel, player = make_player(packet_count=500, corrupt_indices=[40, 41])
-        monitor = make_player_monitor(player, name="p0.awareness")
+        monitor = make_monitor(PLAYER, player, name="p0.awareness")
         rng = random.Random(9)
         player.command("play")
 
@@ -122,7 +122,7 @@ class TestPlayerMonitorDepth:
 
     def test_end_of_media_is_not_a_stall(self):
         kernel, player = make_player(packet_count=50)  # media ends at 20.0
-        monitor = make_player_monitor(player, name="p0.awareness")
+        monitor = make_monitor(PLAYER, player, name="p0.awareness")
         player.command("play")
         kernel.run(until=60.0)
         assert player.state == "playing"  # nobody pressed stop
@@ -133,7 +133,7 @@ class TestPlayerMonitorDepth:
         player's current position and re-arm progress/pace — not replay
         expectations from the pre-stop state."""
         kernel, player = make_player(packet_count=500)
-        monitor = make_player_monitor(player, name="p0.awareness")
+        monitor = make_monitor(PLAYER, player, name="p0.awareness")
         player.command("play")
         kernel.run(until=10.0)
         monitor.stop()
@@ -191,7 +191,7 @@ class TestPrinterDepth:
 
     def test_jam_detected_via_throughput_floor(self):
         printer = Printer(suo_id="pr0")
-        monitor = make_printer_monitor(printer, name="pr0.awareness")
+        monitor = make_monitor(PRINTER, printer, name="pr0.awareness")
         printer.submit(pages=30)
         printer.kernel.run(until=10.0)
         printer.inject_silent_jam()
@@ -202,7 +202,7 @@ class TestPrinterDepth:
 
     def test_queue_depth_consistency_no_false_alarm_under_bursts(self):
         printer = Printer(suo_id="pr0")
-        monitor = make_printer_monitor(printer, name="pr0.awareness")
+        monitor = make_monitor(PRINTER, printer, name="pr0.awareness")
         for at in (5.0, 15.0, 25.0):
             printer.kernel.schedule_at(
                 at, lambda: [printer.submit(pages=n) for n in (2, 4, 3, 2)]
@@ -215,7 +215,7 @@ class TestPrinterDepth:
         """A monitor restarted mid-job adopts the printer's queue depth
         and re-arms the progress/throughput expectations."""
         printer = Printer(suo_id="pr0")
-        monitor = make_printer_monitor(printer, name="pr0.awareness")
+        monitor = make_monitor(PRINTER, printer, name="pr0.awareness")
         printer.submit(pages=20)
         printer.kernel.run(until=8.0)
         monitor.stop()
@@ -253,7 +253,7 @@ class TestPrinterDepth:
         """Re-sync must not mask a fault: after restart the re-armed
         progress window elapses with no pages and the jam is re-found."""
         printer = Printer(suo_id="pr0")
-        monitor = make_printer_monitor(printer, name="pr0.awareness")
+        monitor = make_monitor(PRINTER, printer, name="pr0.awareness")
         printer.submit(pages=30)
         printer.kernel.run(until=10.0)
         printer.inject_silent_jam()

@@ -8,17 +8,14 @@ exoneration.  These tests drive it with a hand-controlled clock and bus
 recovery ladder and the telemetry gates rely on.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.contract import ErrorReport
-from repro.diagnosis.components import (
-    COMPONENTS,
-    ComponentSpectra,
-    classify_player_event,
-    classify_printer_event,
-    classify_tv_event,
-)
+from repro.diagnosis.components import ComponentSpectra
 from repro.faults import FAULTS
+from repro.products import PLAYER, PRINTER, PRODUCTS, TV
 from repro.runtime.bus import EventBus
 from repro.tv.remote import KeyPress
 
@@ -27,25 +24,43 @@ from repro.tv.remote import KeyPress
 # classification
 # ----------------------------------------------------------------------
 def test_tv_key_classification():
-    assert classify_tv_event("input", KeyPress(0.0, "vol_up", 0)) == ("audio",)
-    assert classify_tv_event("input", KeyPress(0.0, "mute", 0)) == ("audio",)
-    assert classify_tv_event("input", KeyPress(0.0, "ch_up", 0)) == ("tuner",)
-    assert classify_tv_event("input", KeyPress(0.0, "digit7", 0)) == ("tuner",)
-    assert classify_tv_event("input", KeyPress(0.0, "ttx", 0)) == ("teletext",)
-    assert classify_tv_event("input", KeyPress(0.0, "dual", 0)) == ("dualscreen",)
-    assert classify_tv_event("stimulus", "alert_broadcast") == ("osd",)
+    assert TV.classify("input", KeyPress(0.0, "vol_up", 0)) == ("audio",)
+    assert TV.classify("input", KeyPress(0.0, "mute", 0)) == ("audio",)
+    assert TV.classify("input", KeyPress(0.0, "ch_up", 0)) == ("tuner",)
+    assert TV.classify("input", KeyPress(0.0, "digit7", 0)) == ("tuner",)
+    assert TV.classify("input", KeyPress(0.0, "ttx", 0)) == ("teletext",)
+    assert TV.classify("input", KeyPress(0.0, "dual", 0)) == ("dualscreen",)
+    assert TV.classify("stimulus", "alert_broadcast") == ("osd",)
     # defensive: unknown shapes classify to nothing
-    assert classify_tv_event("input", "not-a-press") == ()
-    assert classify_tv_event("recovery", {"action": "rebind"}) == ()
+    assert TV.classify("input", "not-a-press") == ()
+    assert TV.classify("recovery", {"action": "rebind"}) == ()
 
 
 def test_player_and_printer_classification():
-    assert classify_player_event("input", ("seek", {"position": 3.0})) == ("control",)
-    assert classify_player_event("output", ("frame", 1.0)) == ("decoder", "renderer")
-    assert classify_player_event("output", ("buffer", 4)) == ("demux",)
-    assert classify_printer_event("input", "submit") == ("controller",)
-    assert classify_printer_event("output", ("pages_done", 3)) == ("feeder", "engine")
-    assert classify_printer_event("output", ("page_quality", 0.2)) == ("engine",)
+    assert PLAYER.classify("input", ("seek", {"position": 3.0})) == ("control",)
+    assert PLAYER.classify("output", ("frame", 1.0)) == ("decoder", "renderer")
+    assert PLAYER.classify("output", ("buffer", 4)) == ("demux",)
+    assert PRINTER.classify("input", "submit") == ("controller",)
+    assert PRINTER.classify("output", ("pages_done", 3)) == ("feeder", "engine")
+    assert PRINTER.classify("output", ("page_quality", 0.2)) == ("engine",)
+
+
+@pytest.mark.parametrize("product", PRODUCTS.values(), ids=PRODUCTS)
+def test_every_mapped_component_is_in_the_vocabulary(product):
+    """The output map, the classifier's key map and the observables'
+    error components name only components a rebind can replace."""
+    vocabulary = set(product.components)
+    assert len(vocabulary) == len(product.components)
+    named = set(product.keys.values())
+    for components in product.outputs.values():
+        named.update(components)
+    for observable in product.observables:
+        named.update(observable.errors)
+    assert named, product.kind
+    assert named <= vocabulary, sorted(named - vocabulary)
+    # the classifier's fixed answers (stimuli, inputs of any shape)
+    for kind, event in (("input", None), ("stimulus", None)):
+        assert set(product.classify(kind, event)) <= vocabulary
 
 
 def test_every_recoverable_fault_has_a_component_in_vocabulary():
@@ -53,7 +68,7 @@ def test_every_recoverable_fault_has_a_component_in_vocabulary():
     assert latent
     for (kind, name) in latent:
         fault = FAULTS[(kind, name)]
-        assert fault.component in COMPONENTS[kind], (kind, name)
+        assert fault.component in PRODUCTS[kind].components, (kind, name)
         # a recovery phase repairs with clear (or repair), so a latent
         # fault without one could be detected but never cleared
         assert fault.clear is not None, (kind, name)
@@ -80,7 +95,7 @@ def error(observable):
 def test_windows_fold_activity_and_errors():
     bus = EventBus()
     clock = ManualClock()
-    spectra = ComponentSpectra("tv", "tv-1", bus, clock, window=1.0)
+    spectra = ComponentSpectra(TV, "tv-1", bus, clock, window=1.0)
     publish = {
         kind: bus.publisher(f"suo.tv-1.{kind}")
         for kind in ("input", "error")
@@ -116,7 +131,7 @@ def test_windows_fold_activity_and_errors():
 def test_no_errors_means_no_ranking():
     bus = EventBus()
     clock = ManualClock()
-    spectra = ComponentSpectra("tv", "tv-1", bus, clock, window=1.0)
+    spectra = ComponentSpectra(TV, "tv-1", bus, clock, window=1.0)
     publish = bus.publisher("suo.tv-1.input")
     clock.now = 0.5
     publish(KeyPress(clock.now, "vol_up", 0))
@@ -130,7 +145,7 @@ def test_single_fault_exoneration_beats_small_sample_precision():
     fault, however perfect its precision looks on a tiny sample."""
     bus = EventBus()
     clock = ManualClock()
-    spectra = ComponentSpectra("tv", "tv-1", bus, clock, window=1.0)
+    spectra = ComponentSpectra(TV, "tv-1", bus, clock, window=1.0)
     key = bus.publisher("suo.tv-1.input")
     err = bus.publisher("suo.tv-1.error")
     # two failing windows, audio attributed in both (sound manifests);
@@ -161,7 +176,7 @@ def test_single_fault_exoneration_beats_small_sample_precision():
 def test_tied_top_rank_yields_zero_confidence():
     bus = EventBus()
     clock = ManualClock()
-    spectra = ComponentSpectra("tv", "tv-1", bus, clock, window=1.0)
+    spectra = ComponentSpectra(TV, "tv-1", bus, clock, window=1.0)
     key = bus.publisher("suo.tv-1.input")
     err = bus.publisher("suo.tv-1.error")
     # audio and tuner perfectly co-occur: indistinguishable evidence
@@ -180,7 +195,7 @@ def test_spectra_are_deterministic_for_identical_event_streams():
     def run():
         bus = EventBus()
         clock = ManualClock()
-        spectra = ComponentSpectra("player", "p-1", bus, clock, window=1.0)
+        spectra = ComponentSpectra(PLAYER, "p-1", bus, clock, window=1.0)
         inp = bus.publisher("suo.p-1.input")
         out = bus.publisher("suo.p-1.output")
         err = bus.publisher("suo.p-1.error")
@@ -204,15 +219,17 @@ def test_spectra_are_deterministic_for_identical_event_streams():
 def test_unknown_kind_and_bad_window_rejected():
     bus = EventBus()
     with pytest.raises(ValueError, match="vocabulary"):
-        ComponentSpectra("toaster", "t-1", bus, lambda: 0.0)
+        ComponentSpectra(
+            replace(TV, kind="toaster", components=()), "t-1", bus, lambda: 0.0
+        )
     with pytest.raises(ValueError, match="window"):
-        ComponentSpectra("tv", "t-1", bus, lambda: 0.0, window=0.0)
+        ComponentSpectra(TV, "t-1", bus, lambda: 0.0, window=0.0)
 
 
 def test_detach_stops_ingestion():
     bus = EventBus()
     clock = ManualClock()
-    spectra = ComponentSpectra("tv", "tv-1", bus, clock, window=1.0)
+    spectra = ComponentSpectra(TV, "tv-1", bus, clock, window=1.0)
     key = bus.publisher("suo.tv-1.input")
     clock.now = 0.1
     key(KeyPress(clock.now, "vol_up", 0))

@@ -1,7 +1,7 @@
 """Tests for run-time (online) diagnosis feeding the Fig. 1 loop."""
 
 
-from repro.awareness import make_tv_monitor
+from repro.products import TV, make_monitor
 from repro.core import TraderTV
 from repro.diagnosis import OnlineDiagnoser
 from repro.tv import FaultInjector, TVSet
@@ -11,7 +11,7 @@ SESSION = ["power", "ch_up", "ttx", "ttx", "ttx", "vol_up", "ttx", "ch_up", "ttx
 
 def run_session(fault=None, activate_after=4):
     tv = TVSet(seed=11)
-    monitor = make_tv_monitor(tv)
+    monitor = make_monitor(TV, tv)
     diagnoser = OnlineDiagnoser(tv, monitor=monitor)
     if fault is not None:
         FaultInjector(tv).inject(fault, activate_after_presses=activate_after)

@@ -7,21 +7,22 @@ surface the first time a user schedules the fault.
 """
 
 from repro.faults import FAULTS
+from repro.products import PLAYER, PRINTER, TV
 from repro.runtime.fleet import MonitorFleet
 
 
 def _admit(fleet, kind):
     """A fresh running member of ``kind``."""
     if kind == "tv":
-        member = fleet.add_tv()
+        member = fleet.add(TV)
         member.suo.remote.schedule_press(0.0, "power")
         for step, key in enumerate(("ttx", "vol_up", "mute", "menu", "back")):
             member.suo.remote.schedule_press(1.0 + 2.0 * step, key)
     elif kind == "player":
-        member = fleet.add_player(packet_count=200, corrupt_indices=[40])
+        member = fleet.add(PLAYER, packet_count=200, corrupt_indices=[40])
         fleet.kernel.schedule(0.0, lambda: member.suo.command("play"))
     else:
-        member = fleet.add_printer()
+        member = fleet.add(PRINTER)
         for at in (0.5, 4.0, 8.0):
             fleet.kernel.schedule(
                 at, lambda: member.suo.submit(pages=2, staple=True)

@@ -9,10 +9,10 @@ plus actual recovery.
 
 from repro.awareness import (
     ModeConsistencyChecker,
-    make_tv_monitor,
     ttx_sync_rule,
 )
 from repro.core import AwarenessLoop, LadderStep, MonitorHierarchy, RecoveryPolicy
+from repro.products import TV, make_monitor
 from repro.recovery import RecoveryManager
 from repro.tv import FaultInjector, TVSet
 
@@ -20,7 +20,7 @@ from repro.tv import FaultInjector, TVSet
 def build_stack(seed=21, settle=8.0):
     """TV + monitor + mode checker + loop, with a teletext repair ladder."""
     tv = TVSet(seed=seed)
-    monitor = make_tv_monitor(tv)
+    monitor = make_monitor(TV, tv)
     checker = ModeConsistencyChecker(
         tv.kernel,
         lambda: {

@@ -11,7 +11,7 @@ neither replayed nor double-applied.
 
 import pytest
 
-from repro.awareness.monitor import make_tv_monitor
+from repro.products import TV, make_monitor
 from repro.campaign import Campaign
 from repro.sim.kernel import Kernel
 from repro.tv.control_model import build_tv_model
@@ -22,7 +22,7 @@ def _churned_tv(resync: bool):
     """One TV whose monitor misses inputs during a stop window."""
     kernel = Kernel()
     tv = TVSet(kernel=kernel, seed=5, suo_id="tv-0")
-    monitor = make_tv_monitor(tv, name="tv-0.awareness")
+    monitor = make_monitor(TV, tv, name="tv-0.awareness")
     tv.press("power"); tv.run(3.0)
     tv.press("ch_up"); tv.run(2.0)
     monitor.stop()
@@ -70,7 +70,7 @@ def test_monitor_churn_scenario_has_zero_false_alarms():
 def test_resync_flushes_in_flight_messages():
     kernel = Kernel()
     tv = TVSet(kernel=kernel, seed=5, suo_id="tv-0")
-    monitor = make_tv_monitor(tv, name="tv-0.awareness")
+    monitor = make_monitor(TV, tv, name="tv-0.awareness")
     tv.press("power"); tv.run(3.0)
     monitor.stop()
     tv.press("vol_up")  # datagram enters the channel, never delivered
@@ -87,7 +87,7 @@ def test_stopped_monitor_ignores_datagrams_in_flight():
     model nor reach the comparator or its latest-output map."""
     kernel = Kernel()
     tv = TVSet(kernel=kernel, seed=5, suo_id="tv-0")
-    monitor = make_tv_monitor(tv, name="tv-0.awareness")
+    monitor = make_monitor(TV, tv, name="tv-0.awareness")
     tv.press("power"); tv.run(3.0)
     tv.press("vol_up")  # an input and its outputs enter both channels
     monitor.stop()
@@ -112,7 +112,7 @@ def test_stopped_monitor_ignores_datagrams_in_flight():
 def test_stop_start_without_intervening_stop_is_a_plain_start():
     kernel = Kernel()
     tv = TVSet(kernel=kernel, seed=5, suo_id="tv-0")
-    monitor = make_tv_monitor(tv, name="tv-0.awareness")
+    monitor = make_monitor(TV, tv, name="tv-0.awareness")
     monitor.start()  # already started by the factory: no-op, no resync
     assert monitor.resyncs == 0
 

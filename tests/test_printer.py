@@ -6,8 +6,8 @@ from repro.printer import (
     Printer,
     build_printer_model,
     expected_status,
-    make_printer_monitor,
 )
+from repro.products import PRINTER, make_monitor
 
 
 class TestPaperPath:
@@ -136,7 +136,7 @@ class TestPrinterModel:
 class TestPrinterMonitor:
     def test_healthy_run_no_errors(self):
         printer = Printer()
-        monitor = make_printer_monitor(printer)
+        monitor = make_monitor(PRINTER, printer)
         printer.submit(pages=5, staple=True)
         printer.kernel.run(until=40.0)
         printer.submit(pages=2)
@@ -145,7 +145,7 @@ class TestPrinterMonitor:
 
     def test_pause_resume_no_errors(self):
         printer = Printer()
-        monitor = make_printer_monitor(printer)
+        monitor = make_monitor(PRINTER, printer)
         printer.submit(pages=8)
         printer.kernel.run(until=8.0)
         printer.pause()
@@ -156,7 +156,7 @@ class TestPrinterMonitor:
 
     def test_silent_jam_detected_by_progress_check(self):
         printer = Printer()
-        monitor = make_printer_monitor(printer)
+        monitor = make_monitor(PRINTER, printer)
         printer.submit(pages=20)
         printer.kernel.run(until=8.0)
         printer.inject_silent_jam()
@@ -166,7 +166,7 @@ class TestPrinterMonitor:
 
     def test_cold_fuser_detected_by_quality_check(self):
         printer = Printer()
-        monitor = make_printer_monitor(printer)
+        monitor = make_monitor(PRINTER, printer)
         printer.inject_cold_fuser(0.1)
         printer.submit(pages=6)
         printer.kernel.run(until=40.0)
@@ -176,7 +176,7 @@ class TestPrinterMonitor:
     def test_closed_loop_jam_recovery(self):
         """Detection drives repair: the Fig. 1 loop on the second domain."""
         printer = Printer()
-        monitor = make_printer_monitor(printer)
+        monitor = make_monitor(PRINTER, printer)
         monitor.controller.subscribe_errors(
             lambda report: printer.clear_jam()
             if report.observable == "progressing"

@@ -8,7 +8,8 @@ model-to-model validation of Sect. 5 driven by generated inputs.
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.awareness import MessageChannel, make_tv_monitor
+from repro.awareness import MessageChannel
+from repro.products import TV, make_monitor
 from repro.core import ErrorReport, LadderStep, Observation, RecoveryPolicy
 from repro.sim import Kernel, RandomStreams
 from repro.tv import (
@@ -59,7 +60,7 @@ def test_fuzz_lockstep_conformance(keys):
 def test_fuzz_no_false_errors(keys):
     """The monitor stays silent on any fault-free session."""
     tv = TVSet(seed=123)
-    monitor = make_tv_monitor(tv)
+    monitor = make_monitor(TV, tv)
     for key in keys:
         tv.press(key)
         tv.run(4.0)

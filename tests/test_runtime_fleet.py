@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import run_cell_detailed
+from repro.products import PLAYER, TV
 from repro.runtime import MonitorFleet, build_fleet_report
 from repro.runtime.fleet import derive_member_seed
 from repro.scenarios import (
@@ -40,9 +41,9 @@ def _campaign(seed, tvs, duration, fault_fraction=0.0, keys=None, **spec_args):
 
 def test_members_share_one_kernel_and_bus():
     fleet = MonitorFleet(seed=1)
-    a = fleet.add_tv()
-    b = fleet.add_tv()
-    p = fleet.add_player()
+    a = fleet.add(TV)
+    b = fleet.add(TV)
+    p = fleet.add(PLAYER)
     assert a.suo.kernel is fleet.kernel
     assert b.suo.kernel is fleet.kernel
     assert p.suo.kernel is fleet.kernel
@@ -58,9 +59,9 @@ def test_member_seeds_are_stable_and_distinct():
 
 def test_duplicate_suo_id_rejected():
     fleet = MonitorFleet(seed=1)
-    fleet.add_tv(suo_id="x")
+    fleet.add(TV, suo_id="x")
     try:
-        fleet.add_tv(suo_id="x")
+        fleet.add(TV, suo_id="x")
     except ValueError:
         pass
     else:  # pragma: no cover
@@ -70,8 +71,8 @@ def test_duplicate_suo_id_rejected():
 def test_topic_isolation_between_members():
     """Pressing a key on one TV reaches only that TV's monitor."""
     fleet = MonitorFleet(seed=3)
-    a = fleet.add_tv()
-    b = fleet.add_tv()
+    a = fleet.add(TV)
+    b = fleet.add(TV)
     a.suo.press("power")
     fleet.run(10.0)
     assert a.suo.powered
@@ -88,7 +89,7 @@ def test_member_counters_are_exact_without_running_the_kernel():
     from repro.tv.remote import KeyPress
 
     fleet = MonitorFleet(seed=3)
-    member = fleet.add_tv()
+    member = fleet.add(TV)
     topic = f"suo.{member.suo_id}.input"
     fleet.bus.publish(topic, KeyPress(0.0, "power", 0))
     fleet.bus.publish(topic, KeyPress(0.0, "power", 1))
@@ -227,8 +228,8 @@ def test_false_alarm_denominator_counts_monitored_clean_members():
     pool is the monitored AND fault-free population, not monitored minus
     total faulty."""
     fleet = MonitorFleet(seed=30)
-    fleet.add_tvs(3, monitor=True)
-    fleet.add_tvs(2, monitor=False)
+    for monitor in (True, True, True, False, False):
+        fleet.add(TV, monitor=monitor)
     # mark both unmonitored TVs faulty by hand
     for member in fleet.members.values():
         if member.monitor is None:
@@ -249,14 +250,15 @@ def _live_objects() -> int:
 def test_tv_member_footprint_is_bounded():
     """Each monitored TV adds a bounded number of GC-tracked objects.
 
-    Members share one spec chart per product line (~237 objects per TV
+    Members share one spec chart per product line (~227 objects per TV
     on CPython 3.11 and 3.12); a chart per member adds ~170 more and
     fails this bound.
     """
     fleet = MonitorFleet(seed=0)
-    fleet.add_tv()  # builds the shared chart and other per-process caches
+    fleet.add(TV)  # builds the shared chart and other per-process caches
     before = _live_objects()
-    fleet.add_tvs(50)
+    for _ in range(50):
+        fleet.add(TV)
     per_member = (_live_objects() - before) / 50
     assert per_member <= 300
 

@@ -18,6 +18,7 @@ from repro.campaign import (
     run_cell_detailed,
 )
 from repro.diagnosis.components import RankedComponent
+from repro.products import TV
 from repro.runtime.fleet import MonitorFleet
 from repro.runtime.telemetry import mergeable_summary, merge_summaries
 from repro.scenarios import UserProfile, get_scenario
@@ -242,7 +243,7 @@ class _WrongSpectra:
 
 def test_targeted_miss_falls_back_to_full_rebind():
     fleet = MonitorFleet(seed=3)
-    member = fleet.add_tv()
+    member = fleet.add(TV)
     member.suo.remote.schedule_press(0.0, "power")
     harness = MemberRecovery(member, fleet.kernel, fleet.bus)
     harness.spectra.detach()
