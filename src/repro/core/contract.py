@@ -19,9 +19,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Observation:
-    """One time-stamped fact about the SUO."""
+    """One time-stamped fact about the SUO.
+
+    Slotted, not frozen: the adapters build one per datagram, and a
+    frozen dataclass pays an ``object.__setattr__`` per field.  Nothing
+    hashes or mutates one.
+    """
 
     time: float
     source: str

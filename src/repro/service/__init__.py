@@ -3,8 +3,9 @@
 ``python -m repro.service`` boots a long-lived stdlib-only HTTP/JSON
 server that accepts scenario × seed campaign submissions, executes them
 through THE :func:`~repro.campaign.core.execute_cell` orchestration
-path on a bounded worker pool (checkpointed shard-by-shard into the
-run-history store), and streams live
+path on a bounded pool of job threads whose kernels run in simulation
+worker processes (checkpointed shard-by-shard into the run-history
+store), and streams live
 :class:`~repro.runtime.telemetry.FleetTelemetry` snapshots to
 subscribers over chunked NDJSON while shards run.  Determinism contract
 unchanged: a campaign submitted over HTTP produces ``telemetry_digest``

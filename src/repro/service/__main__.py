@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="bounded job pool size (concurrent campaigns)",
+        help="concurrent campaigns (job threads and simulation worker processes)",
     )
     parser.add_argument(
         "--segments",

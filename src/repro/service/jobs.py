@@ -1,6 +1,8 @@
 """Job engine for the campaign service (PR 10).
 
-A :class:`JobManager` owns a bounded worker pool and a SQLite-backed
+A :class:`JobManager` owns a bounded pool of job threads, the same
+number of simulation worker processes
+(:class:`~repro.service.workers.WorkerPool`), and a SQLite-backed
 :class:`~repro.obs.history.RunHistory` path.  Each submitted job is a
 scenario × seed grid; every cell executes through THE orchestration
 path — :func:`repro.campaign.core.execute_cell` with a
@@ -13,17 +15,24 @@ same spec × seed.
 
 Live streaming rides on the segmented-execution seam
 (:func:`repro.campaign.backends.execute_plan_segmented`): each shard
-runs as N kernel slices, and after every slice the executor emits a
-flushed :class:`~repro.runtime.telemetry.FleetTelemetry` summary to the
-job's subscribers and checks for cancellation — which is why a
-mid-stream ``POST /campaigns/{id}/cancel`` lands between segments
-without perturbing anything a finished shard already recorded.
+runs as N kernel slices in a worker process, and after every slice the
+worker sends its :class:`~repro.runtime.telemetry.FleetTelemetry`
+summary home; the job thread emits it to the job's subscribers and
+answers go or cancel — which is why a mid-stream
+``POST /campaigns/{id}/cancel`` lands between segments without
+perturbing anything a finished shard already recorded.
 
-Threading model: every job runs on one pool thread, which opens its own
-:class:`RunHistory` connection (SQLite connections are thread-affine).
-Status reads open short-lived per-call connections.  Subscriber fan-out
-is queue-based with full replay, so a late subscriber sees the whole
-record history before going live.
+Process model: a job thread plans, partitions, merges and checkpoints;
+only the kernel runs in a worker, so two jobs simulate on two cores.
+The workers are forked when the manager is built, before the HTTP
+server or any job thread exists.  When a tracer or profiler has wrapped
+this module's simulation entry points, the kernel runs in the job
+thread instead, where the wrappers can see it.  Each job thread opens
+its own :class:`RunHistory` connection (SQLite connections are
+thread-affine); status reads open short-lived per-call connections.
+Subscriber fan-out is queue-based with full replay, so a late
+subscriber sees the whole record history before going live.  A job
+keeps each record once, as its NDJSON line.
 """
 
 from __future__ import annotations
@@ -34,13 +43,14 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..campaign.checkpoint import CampaignCheckpoint
 from ..campaign.core import execute_cell
 from ..campaign.backends import (
     DistributedBackend,
     ShardResult,
+    WorkerLostError,
     execute_plan_segmented,
 )
 from ..campaign.report import CampaignReport
@@ -48,6 +58,7 @@ from ..obs.history import RunHistory
 from ..scenarios.library import get_scenario
 from ..scenarios.plan import ScenarioPlan
 from ..scenarios.spec import ScenarioSpec
+from .workers import SegmentCallback, WorkerPool
 
 __all__ = [
     "Job",
@@ -65,6 +76,14 @@ MAX_REPLAY_RECORDS = 4096
 
 #: Terminal job states.
 TERMINAL_STATES = frozenset({"complete", "failed", "cancelled"})
+
+#: A stored stream record: its ``type`` and its NDJSON line.
+StreamEntry = Tuple[str, bytes]
+
+
+def encode_record(record: Dict[str, Any]) -> bytes:
+    """One NDJSON stream line (sorted keys: byte-stable for tests)."""
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
 
 class JobCancelled(RuntimeError):
@@ -178,36 +197,35 @@ class Job:
         self.reports: List[CampaignReport] = []
         self.cancel_event = threading.Event()
         self._lock = threading.Lock()
-        self._records: List[Dict[str, Any]] = []
-        self._subscribers: List["queue.Queue[Dict[str, Any]]"] = []
+        #: Each record once, as ``(type, NDJSON line)``.
+        self._records: List[StreamEntry] = []
+        self._subscribers: List["queue.Queue[StreamEntry]"] = []
 
     # -- stream fan-out -------------------------------------------------
     def emit(self, record: Dict[str, Any]) -> None:
-        """Append one stream record and fan it out to subscribers."""
+        """Encode one stream record, keep it and fan it out."""
+        entry = (record["type"], encode_record(record))
         with self._lock:
-            if (
-                len(self._records) < MAX_REPLAY_RECORDS
-                or record.get("type") != "telemetry"
-            ):
-                self._records.append(record)
+            if len(self._records) < MAX_REPLAY_RECORDS or entry[0] != "telemetry":
+                self._records.append(entry)
             targets = list(self._subscribers)
         for target in targets:
-            target.put(record)
+            target.put(entry)
 
-    def subscribe(self) -> "queue.Queue[Dict[str, Any]]":
+    def subscribe(self) -> "queue.Queue[StreamEntry]":
         """A queue pre-loaded with the full replay, then live records.
 
         Taken under the emit lock so the replay/live handoff cannot
         drop or duplicate a record.
         """
-        subscriber: "queue.Queue[Dict[str, Any]]" = queue.Queue()
+        subscriber: "queue.Queue[StreamEntry]" = queue.Queue()
         with self._lock:
-            for record in self._records:
-                subscriber.put(record)
+            for entry in self._records:
+                subscriber.put(entry)
             self._subscribers.append(subscriber)
         return subscriber
 
-    def unsubscribe(self, subscriber: "queue.Queue[Dict[str, Any]]") -> None:
+    def unsubscribe(self, subscriber: "queue.Queue[StreamEntry]") -> None:
         with self._lock:
             if subscriber in self._subscribers:
                 self._subscribers.remove(subscriber)
@@ -266,21 +284,24 @@ class Job:
 class StreamingExecutor:
     """A :class:`ShardExecutor` that narrates one job's shards.
 
-    ``run_attempt`` drives the plan through
-    :func:`execute_plan_segmented`; after every kernel slice it emits a
-    flushed telemetry summary for the job's NDJSON stream and raises
+    ``run_attempt`` hands the plan to ``runner`` (the manager's worker
+    pool, or :class:`InThreadRunner`), which runs it through
+    :func:`execute_plan_segmented`; after every kernel slice this emits
+    the telemetry summary for the job's NDJSON stream and raises
     :class:`JobCancelled` if the job was cancelled — the only two
-    behaviours layered on top of plain inline execution, neither of
-    which can perturb the payload (segmentation is digest-invariant by
+    behaviours layered on top of plain execution, neither of which can
+    perturb the payload (segmentation is digest-invariant by
     construction).
     """
 
     name = "service"
 
-    def __init__(self, job: Job, cell_index: int, segments: int) -> None:
+    def __init__(
+        self, job: Job, cell_index: int, runner: Union[WorkerPool, InThreadRunner]
+    ) -> None:
         self.job = job
         self.cell_index = cell_index
-        self.segments = segments
+        self.runner = runner
 
     def run_attempt(self, plan: ScenarioPlan, attempt: int) -> ShardResult:
         job = self.job
@@ -288,7 +309,7 @@ class StreamingExecutor:
             raise JobCancelled(job.job_id)
         spec, seed = job.cells[self.cell_index]
 
-        def on_segment(compiled: Any, index: int, now: float) -> None:
+        def on_segment(index: int, now: float, summary: Dict[str, Any]) -> None:
             record = {
                 "type": "telemetry",
                 "cell": self.cell_index,
@@ -296,15 +317,20 @@ class StreamingExecutor:
                 "seed": seed,
                 "shard": plan.shard_id,
                 "segment": index,
-                "segments": self.segments,
+                "segments": job.segments,
                 "sim_time": now,
-                "summary": compiled.fleet.telemetry.summary(),
+                "summary": summary,
             }
             job.emit(record)
             if job.cancel_event.is_set():
                 raise JobCancelled(job.job_id)
 
-        payload = execute_plan_segmented(plan, self.segments, on_segment=on_segment)
+        try:
+            payload = self.runner.run(plan, job.segments, on_segment)
+        except WorkerLostError:
+            if job.cancel_event.is_set():  # the server stopped its workers
+                raise JobCancelled(job.job_id)
+            raise
         record = {
             "type": "shard",
             "cell": self.cell_index,
@@ -321,6 +347,35 @@ class StreamingExecutor:
             attempt=attempt,
             worker=self.name,
         )
+
+
+class InThreadRunner:
+    """Runs plans in the calling job thread: the runner the manager
+    uses when a tracer or profiler watches this process.  It calls
+    :func:`execute_plan_segmented` through this module, whose attribute
+    is the one such wrappers replace."""
+
+    def run(
+        self, plan: ScenarioPlan, segments: int, on_segment: SegmentCallback
+    ) -> Dict[str, Any]:
+        def relay(compiled: Any, index: int, now: float) -> None:
+            on_segment(index, now, compiled.fleet.telemetry.summary())
+
+        return execute_plan_segmented(plan, segments, on_segment=relay)
+
+    def pids(self) -> List[int]:
+        return []
+
+    def close(self) -> None:
+        pass
+
+
+def _observed() -> bool:
+    """Whether something wrapped this module's simulation entry points
+    (``functools.wraps`` leaves ``__wrapped__``): an in-process tracer
+    or profiler, which cannot see into a worker process."""
+    entries = (execute_cell, execute_plan_segmented)
+    return any(hasattr(entry, "__wrapped__") for entry in entries)
 
 
 # ----------------------------------------------------------------------
@@ -341,6 +396,8 @@ class JobManager:
         self.default_shards = shards
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
+        # The workers first: no job thread exists yet to be forked with.
+        self._workers = InThreadRunner() if _observed() else WorkerPool(workers)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="campaign-job"
         )
@@ -370,6 +427,11 @@ class JobManager:
         with self._lock:
             ordered = sorted(self._jobs.values(), key=lambda job: job.created_at)
         return ordered
+
+    def worker_pids(self) -> List[int]:
+        """Pids of the simulation worker processes (none when the
+        kernel runs in the job threads)."""
+        return self._workers.pids()
 
     def cancel(self, job_id: str) -> Optional[Job]:
         job = self.get(job_id)
@@ -401,6 +463,7 @@ class JobManager:
         for job in jobs:
             job.cancel_event.set()
         self._pool.shutdown(wait=wait, cancel_futures=True)
+        self._workers.close()
 
     # ------------------------------------------------------------------
     # job thread
@@ -425,7 +488,7 @@ class JobManager:
                 if job.cancel_event.is_set():
                     raise JobCancelled(job.job_id)
                 backend = DistributedBackend(
-                    StreamingExecutor(job, index, job.segments),
+                    StreamingExecutor(job, index, self._workers),
                     shards=job.shards,
                     max_attempts=1,
                     parallelism=1,
@@ -456,6 +519,10 @@ class JobManager:
         except JobCancelled:
             job.state = "cancelled"
         except Exception as exc:  # surfaced via status/stream, not lost
+            if isinstance(exc.__cause__, WorkerLostError):
+                # One attempt per shard: the loss, not the exhausted
+                # retry budget, is the error.
+                exc = exc.__cause__
             job.state = "failed"
             job.error = f"{type(exc).__name__}: {exc}"
         finally:
@@ -473,8 +540,3 @@ class JobManager:
                 end["telemetry_digest"] = job.reports[0].telemetry_digest
                 end["span_digest"] = job.reports[0].span_digest
             job.emit(end)
-
-
-def encode_record(record: Dict[str, Any]) -> bytes:
-    """One NDJSON stream line (sorted keys: byte-stable for tests)."""
-    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")

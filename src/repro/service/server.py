@@ -17,7 +17,8 @@
   the SQLite run-history store
 * ``GET  /trend``                    — rolling trend-gate evaluation
   over recorded run_all reports
-* ``GET  /healthz``                  — liveness + job counts
+* ``GET  /healthz``                  — liveness, job counts and the
+  simulation worker pids
 
 Every response body is JSON (the stream is JSON per line).  Handler
 threads open their own short-lived :class:`RunHistory` connections;
@@ -44,6 +45,9 @@ STREAM_HEARTBEAT_SECONDS = 2.0
 
 #: Submission bodies larger than this are rejected outright.
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: The line an idle stream sends every STREAM_HEARTBEAT_SECONDS.
+HEARTBEAT = encode_record({"type": "heartbeat"})
 
 
 class CampaignServer(ThreadingHTTPServer):
@@ -148,6 +152,7 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
                     "ok": True,
                     "jobs": len(jobs),
                     "running": sum(1 for job in jobs if job.state == "running"),
+                    "workers": self.server.manager.worker_pids(),
                     "db": self.server.db_path,
                 },
             )
@@ -241,7 +246,8 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
     # -- the stream -----------------------------------------------------
     def _stream(self, job: Any) -> None:
         """Chunked NDJSON: full replay, then live records, heartbeats
-        while idle, ending with the job's terminal ``end`` record."""
+        while idle, ending with the job's terminal ``end`` record.  Each
+        record goes out as the line the job stored, encoded once."""
         subscriber = job.subscribe()
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
@@ -252,7 +258,7 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
         try:
             while True:
                 try:
-                    record = subscriber.get(timeout=STREAM_HEARTBEAT_SECONDS)
+                    kind, line = subscriber.get(timeout=STREAM_HEARTBEAT_SECONDS)
                 except queue.Empty:
                     if job.finished:
                         # Terminal record was consumed by an earlier
@@ -260,10 +266,10 @@ class _CampaignRequestHandler(BaseHTTPRequestHandler):
                         # subscribed-yet-after-replay; replay covers it,
                         # so an empty queue on a finished job means done.
                         break
-                    self._write_chunk(encode_record({"type": "heartbeat"}))
+                    self._write_chunk(HEARTBEAT)
                     continue
-                self._write_chunk(encode_record(record))
-                if record.get("type") == "end":
+                self._write_chunk(line)
+                if kind == "end":
                     break
             self._write_chunk(b"")  # terminating 0-length chunk
         except (BrokenPipeError, ConnectionResetError, socket.timeout):

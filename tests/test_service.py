@@ -35,11 +35,13 @@ from repro.campaign.report import merge_shard_results
 from repro.scenarios import build_plan, get_scenario, partition_plan
 from repro.service import (
     CampaignServer,
+    JobManager,
     ServiceClient,
     ServiceError,
     SubmissionError,
     parse_submission,
 )
+from repro.service.workers import STOP_GRACE_SECONDS, WorkerPool
 
 
 def small_spec():
@@ -366,14 +368,154 @@ class TestPerShardStatus:
 
 
 # ----------------------------------------------------------------------
-# the process entry point: clean shutdown on SIGINT and SIGTERM
+# simulation worker processes
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize(
-    "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
-)
-def test_service_process_stops_cleanly_on_signal(tmp_path, signum):
-    """A server started with SIGINT ignored (a non-interactive shell's
-    background job) still stops on SIGINT, and on SIGTERM, exiting 0."""
+def _records(job, timeout=60.0):
+    """Every record of one job's stream, up to its ``end`` record."""
+    subscriber = job.subscribe()
+    records = []
+    try:
+        while not records or records[-1]["type"] != "end":
+            kind, line = subscriber.get(timeout=timeout)
+            assert json.loads(line)["type"] == kind
+            records.append(json.loads(line))
+    finally:
+        job.unsubscribe(subscriber)
+    return records
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie is not)."""
+    if Path("/proc").is_dir():
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            return False
+        return stat.rsplit(")", 1)[1].split()[0] != "Z"
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _gone_within(pids, seconds):
+    deadline = time.monotonic() + seconds
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return [pid for pid in pids if _running(pid)]
+
+
+class TestWorkerProcesses:
+    def test_each_record_is_kept_once_as_its_line(self, tmp_path):
+        manager = JobManager(str(tmp_path / "history.sqlite"), workers=1)
+        try:
+            job = manager.submit({"scenarios": ["zapping-storm"], "seeds": [2],
+                                  "segments": 3})
+            records = _records(job)
+            stored = job.subscribe()
+            lines = [stored.get_nowait() for _ in records]
+        finally:
+            manager.shutdown()
+        assert [kind for kind, _ in lines] == [r["type"] for r in records]
+        assert all(isinstance(line, bytes) and line.endswith(b"\n")
+                   for _, line in lines)
+        assert [json.loads(line) for _, line in lines] == records
+
+    def test_a_worker_exits_at_eof_while_later_pools_live(self):
+        """A worker forked later closes its copy of every earlier
+        worker's pipe: closing the first pool ends its worker at EOF,
+        well inside the grace period after which it would be signalled."""
+        first, later = WorkerPool(1), WorkerPool(1)
+        try:
+            (pid,) = first.pids()
+            start = time.monotonic()
+            first.close()
+            assert time.monotonic() - start < STOP_GRACE_SECONDS / 2
+            assert _gone_within([pid], 0.0) == []
+        finally:
+            later.close()
+
+    def test_a_lost_worker_fails_its_job_and_is_replaced(self, tmp_path):
+        """SIGKILL the one worker mid-job: that job fails naming the pid,
+        and the next job completes on a spawned replacement."""
+        manager = JobManager(str(tmp_path / "history.sqlite"), workers=1)
+        try:
+            (pid,) = manager.worker_pids()
+            job = manager.submit({"scenarios": ["recovery-ladder-drill"],
+                                  "seeds": [1, 2, 3], "segments": 64})
+            subscriber = job.subscribe()
+            while subscriber.get(timeout=60)[0] != "telemetry":
+                pass
+            os.kill(pid, signal.SIGKILL)
+            end = _records(job)[-1]
+            assert end["state"] == "failed" == job.state
+            assert job.error.startswith("WorkerLostError: ")
+            assert f"pid {pid} " in job.error
+            assert end["error"] == job.error
+            assert _gone_within([pid], 2.0) == []
+            (replacement,) = manager.worker_pids()
+            assert replacement != pid
+            if Path("/proc").is_dir():  # started by spawn, not fork
+                cmdline = Path(f"/proc/{replacement}/cmdline").read_bytes()
+                assert b"spawn_main" in cmdline
+            spec = small_spec()
+            after = manager.submit({"scenarios": [json.loads(spec.canonical_json())],
+                                    "seeds": [5]})
+            end = _records(after)[-1]
+        finally:
+            manager.shutdown()
+        assert end["state"] == "complete", end["error"]
+        assert end["telemetry_digest"] == run_cell(spec, 5).telemetry_digest
+        assert _gone_within([replacement], 2.0) == []
+
+    def test_shutdown_mid_job_cancels_it_and_stops_its_worker(self, tmp_path):
+        manager = JobManager(str(tmp_path / "history.sqlite"), workers=1)
+        (pid,) = manager.worker_pids()
+        job = manager.submit({"scenarios": ["recovery-ladder-drill"],
+                              "seeds": [1, 2, 3], "segments": 64})
+        subscriber = job.subscribe()
+        while subscriber.get(timeout=60)[0] != "telemetry":
+            pass
+        manager.shutdown()
+        assert _records(job)[-1]["state"] == "cancelled" == job.state
+        assert _gone_within([pid], 2.0) == []
+        assert manager.worker_pids() == []
+
+    def test_eight_concurrent_drill_jobs_match_serial_run_cell(self, tmp_path):
+        """Eight recovery and diagnosis drill jobs queued at once on two
+        workers, all checkpointing into one SQLite store."""
+        names = ("recovery-ladder-drill", "player-decoder-drill",
+                 "printer-jam-drill", "targeted-rebind-storm")
+        cells = [(replace(get_scenario(name), record_spans=True), seed)
+                 for name in names for seed in (1, 2)]
+        manager = JobManager(str(tmp_path / "history.sqlite"), workers=2)
+        try:
+            jobs = [
+                manager.submit({"scenarios": [json.loads(spec.canonical_json())],
+                                "seeds": [seed], "shards": 1 + index % 2})
+                for index, (spec, seed) in enumerate(cells)
+            ]
+            ends = [_records(job)[-1] for job in jobs]
+            statuses = [manager.status(job.job_id) for job in jobs]
+        finally:
+            manager.shutdown()
+        for (spec, seed), end, status in zip(cells, ends, statuses):
+            serial = run_cell(spec, seed)
+            assert end["state"] == "complete", end["error"]
+            assert serial.span_digest
+            assert (end["telemetry_digest"], end["span_digest"]) == \
+                (serial.telemetry_digest, serial.span_digest), spec.name
+            assert status["checkpoint"]["cells"][0]["status"] == "complete"
+
+
+# ----------------------------------------------------------------------
+# the process entry point: clean shutdown on SIGINT and SIGTERM, and no
+# worker outlives the server
+# ----------------------------------------------------------------------
+def _boot_service(tmp_path):
+    """A ``python -m repro.service`` started with SIGINT ignored (as a
+    non-interactive shell's background job is), and its worker pids."""
     port_file = tmp_path / "port"
     src = Path(__file__).resolve().parents[1] / "src"
     process = subprocess.Popen(
@@ -390,6 +532,25 @@ def test_service_process_stops_cleanly_on_signal(tmp_path, signum):
             assert process.poll() is None, process.stdout.read().decode()
             assert time.monotonic() < deadline, "service did not start"
             time.sleep(0.02)
+        workers = ServiceClient(
+            "127.0.0.1", int(port_file.read_text()), timeout=30.0,
+        ).health()["workers"]
+    except BaseException:
+        process.kill()
+        process.communicate()
+        raise
+    return process, workers
+
+
+@pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+)
+def test_service_process_stops_cleanly_on_signal(tmp_path, signum):
+    """The server stops on SIGINT, even started with SIGINT ignored, and
+    on SIGTERM, exiting 0; every worker process ends with it."""
+    process, workers = _boot_service(tmp_path)
+    try:
+        assert len(workers) == 2
         process.send_signal(signum)
         output, _ = process.communicate(timeout=10)
     finally:
@@ -398,3 +559,12 @@ def test_service_process_stops_cleanly_on_signal(tmp_path, signum):
             process.communicate()
     assert process.returncode == 0
     assert output.decode().rstrip().endswith("shutting down")
+    assert _gone_within(workers, 2.0) == []
+
+
+def test_service_workers_exit_when_the_server_is_killed(tmp_path):
+    process, workers = _boot_service(tmp_path)
+    process.kill()
+    process.communicate()
+    assert len(workers) == 2
+    assert _gone_within(workers, 2.0) == []
